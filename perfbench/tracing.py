@@ -93,11 +93,12 @@ def _annotate(name: str, args: tuple, result: Any) -> dict[str, Any] | None:
 class Tracer:
     """An in-memory span recorder; :meth:`install` wraps the layers."""
 
-    def __init__(self, request_id: Callable[[], str | None] | None = None):
+    def __init__(self, request_id: Callable[[], str | None]):
+        """``request_id`` returns the gateway request id bound at a call."""
         self.spans: list[tuple] = []
         self.recording = False
         self._ids = itertools.count(1)
-        self._request_id = request_id or (lambda: None)
+        self._request_id = request_id
 
     # -- recording ------------------------------------------------------
     def open(self, name: str) -> tuple[int, int | None, Any, float, contextvars.Token]:
