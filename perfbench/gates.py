@@ -3,15 +3,10 @@ result passes.  A mismatch counts as a failed operation."""
 
 from __future__ import annotations
 
-import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-
-
-def canonical(payload: Any) -> Any:
-    """A JSON round-trip: tuples become lists, exactly as on the wire."""
-    return json.loads(json.dumps(payload))
+from repro.gateway.loadgen import _canon, _verify_records
 
 
 def index_mismatches(solved, reloaded) -> list[str]:
@@ -76,17 +71,19 @@ def protocol_mismatches(
             problems.append(f"{method}: {len(got[method])} ratios")
             continue
         for g, w in zip(got[method], want[method]):
-            if canonical(g) != canonical(w):
+            if _canon(g) != _canon(w):
                 problems.append(f"{method}@{w[0]}")
     return problems
 
 
-def response_mismatch(
-    document: Mapping[str, Any], version: int, expected: Any
-) -> str | None:
-    """Why a gateway response differs from a direct call, if it does."""
-    if document.get("version") != version:
-        return f"version {document.get('version')} != {version}"
-    if document.get("result") != canonical(expected):
-        return "result differs"
-    return None
+def read_mismatches(
+    records: Sequence[Mapping[str, Any]], service_at: Callable[[int], Any]
+) -> int:
+    """Answered reads that differ from a direct call at their version.
+
+    ``records`` are ``{"request", "status", "version", "result"}``
+    mappings; ``service_at(version)`` gives a service in the state the
+    response reports, or ``None`` when that version cannot be rebuilt
+    (which counts as a mismatch).
+    """
+    return _verify_records(records, service_at)[1]

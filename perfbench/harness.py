@@ -18,6 +18,52 @@ class BenchError(RuntimeError):
     """The program or the benchmark could not complete a run."""
 
 
+# ----------------------------------------------------------------------
+# Calibration: the host's speed at the moment
+# ----------------------------------------------------------------------
+#: What the calibration unit takes on the reference machine (2 vCPU,
+#: median over 200 units), seconds.  A timed step is reported as its
+#: time scaled by this over the unit's time around the step.
+REFERENCE_CALIBRATION_S = 0.030
+_UNIT: dict[str, Any] = {}
+
+
+def calibration() -> float:
+    """CPU time of the calling thread for one fixed unit of work.
+
+    The unit does what the program does most: sparse matrix-vector
+    products (ten power-iteration steps over a seeded 100k x 100k
+    matrix with 8 entries a row) and a dictionary loop in the
+    interpreter.  On a shared machine the speed of a core drifts by up
+    to 1.8x for seconds to minutes with other tenants' load, and moves
+    this unit with it; the program's code never runs in it.
+    """
+    import numpy as np
+    import scipy.sparse
+
+    if not _UNIT:
+        rng = np.random.default_rng(12345)
+        n = 100_000
+        rows, cols = rng.integers(0, n, 8 * n), rng.integers(0, n, 8 * n)
+        _UNIT["matrix"] = scipy.sparse.csr_matrix((np.ones(8 * n), (rows, cols)), shape=(n, n))
+        _UNIT["vector"] = rng.random(n)
+    started = time.thread_time()
+    vector = _UNIT["vector"]
+    for _ in range(10):
+        vector = _UNIT["matrix"] @ vector
+        vector /= vector.sum()
+    counts: dict[int, int] = {}
+    for i in range(10_000):
+        counts[i % 997] = counts.get(i % 997, 0) + i
+    return time.thread_time() - started
+
+
+def at_reference_speed(seconds: float, calibration_s: float) -> float:
+    """``seconds`` measured while the calibration unit took
+    ``calibration_s``, scaled to the reference machine's speed."""
+    return seconds * REFERENCE_CALIBRATION_S / calibration_s
+
+
 class Runner:
     """One program process (``runner.py``) and its JSON-lines channel."""
 

@@ -3,7 +3,9 @@
 One process and one asyncio loop drive at most ``nproc`` connections.
 Requests are due on a Poisson schedule drawn from the seed, whatever
 the server's pace, and each picks a query from a fixed catalogue with a
-Zipf-skewed popularity, so a measurable share of reads repeats.  A
+Zipf-skewed popularity, so a measurable share of reads repeats.  The
+skew is an assumption, not a measurement: no query log of a scholarly
+ranking service is at hand to set its exponent from.  A
 request is timed from the moment it was due, so a stall also counts
 against the requests queued behind it.  How late the generator itself
 woke up for a due request is recorded separately.
@@ -18,14 +20,14 @@ from __future__ import annotations
 import asyncio
 import bisect
 import itertools
-import json
 import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
-from urllib.parse import quote
+
+from repro.gateway.loadgen import _read_response, _request_plan, _target_of
 
 #: The program's default latency objective (``latency:99:250ms``).
 SLO_SECONDS = 0.25
@@ -49,73 +51,20 @@ def build_catalogue(
     year_span: tuple[float, float],
     size: int,
 ) -> list[dict[str, Any]]:
-    """Up to ``size`` distinct queries in the mix of ``repro loadgen``:
-    55% ranking pages, 25% paper lookups, 20% comparisons.  A small
-    corpus has fewer distinct queries; drawing stops after ``20 * size``
-    draws."""
-    lo, hi = year_span
-    third = (hi - lo) / 3.0
-    spans = [None, None, (lo, lo + 2 * third), (lo + third, hi)]
+    """Up to ``size`` distinct queries, drawn with the request mix of
+    ``repro loadgen`` unchanged (its request plan) and kept in the order
+    they first appear.  A small corpus has fewer distinct queries;
+    drawing stops after ``20 * size`` draws."""
     seen: set[str] = set()
     catalogue = []
-    for _ in range(20 * size):
-        if len(catalogue) == size:
-            break
-        roll = rng.random()
-        if roll < 0.55:
-            query = {
-                "kind": "top",
-                "method": rng.choice(list(methods)),
-                "k": rng.choice([5, 10, 25]),
-                "offset": rng.choice([0, 0, 0, 10, 50, 100, 200]),
-                "span": rng.choice(spans),
-            }
-        elif roll < 0.8:
-            query = {"kind": "paper", "id": rng.choice(list(paper_ids))}
-        else:
-            chosen = list(methods)
-            rng.shuffle(chosen)
-            query = {
-                "kind": "compare",
-                "methods": chosen[: rng.choice([2, 3])],
-                "k": rng.choice([10, 25]),
-            }
-        target = target_of(query)
+    for query in _request_plan(rng, methods, paper_ids, 20 * size, year_span):
+        target = _target_of(query)
         if target not in seen:
             seen.add(target)
             catalogue.append(query)
+            if len(catalogue) == size:
+                break
     return catalogue
-
-
-def target_of(query: dict[str, Any]) -> str:
-    kind = query["kind"]
-    if kind == "top":
-        target = (
-            f"/v1/top?method={quote(query['method'])}"
-            f"&k={query['k']}&offset={query['offset']}"
-        )
-        if query["span"] is not None:
-            lo, hi = query["span"]
-            target += f"&year_min={lo!r}&year_max={hi!r}"
-        return target
-    if kind == "paper":
-        return f"/v1/paper/{quote(query['id'], safe='')}"
-    return f"/v1/compare?methods={quote(','.join(query['methods']))}&k={query['k']}"
-
-
-def direct_payload(service, query: dict[str, Any]) -> dict[str, Any]:
-    """The payload a direct :class:`RankingService` call gives."""
-    from repro.serve import result_payload
-
-    kind = query["kind"]
-    if kind == "top":
-        return result_payload(service.top_k(
-            query["method"], k=query["k"], offset=query["offset"],
-            year_range=query["span"],
-        ))
-    if kind == "paper":
-        return result_payload(service.paper(query["id"]))
-    return result_payload(service.compare(query["methods"], k=query["k"]))
 
 
 class Zipf:
@@ -153,7 +102,7 @@ class Record:
     done: float = math.nan
     late: float | None = None
     status: int = 0
-    body: bytes = b""
+    document: dict[str, Any] = field(default_factory=dict)
     rid: str = ""
 
 
@@ -165,6 +114,8 @@ class Leg:
     dues: list[float] = field(default_factory=list)
     records: list[Record] = field(default_factory=list)
     aborted: bool = False
+    #: Whether the program recorded spans during the leg.
+    traced: bool = False
 
     @property
     def ok(self) -> list[Record]:
@@ -233,19 +184,6 @@ def quantile(ordered: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split()[1])
-    length = 0
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value)
-    body = await reader.readexactly(length) if length else b""
-    return status, body
-
-
 async def _drive(
     port: int,
     connections: int,
@@ -292,7 +230,7 @@ async def _drive(
                     f"X-Request-Id: {record.rid}\r\n\r\n".encode("latin-1")
                 )
                 try:
-                    record.status, record.body = await _read_response(reader)
+                    record.status, _, record.document = await _read_response(reader)
                 except (OSError, asyncio.IncompleteReadError):
                     record.status = 599
                     return
@@ -395,6 +333,3 @@ def climb_ladder(
         best = leg
     return best, rungs
 
-
-def decode(record: Record) -> dict[str, Any]:
-    return json.loads(record.body) if record.body else {}

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload serve_read --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload rank_scale --seed 1 --seconds 10 --trace 0
 
 Workloads: ``rank_scale`` and ``ingest_live`` (see
 ``perfbench/README.md``).  With ``--trace 0`` the

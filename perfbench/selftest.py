@@ -146,23 +146,50 @@ def test_protocol_gate_fires_on_changed_parameters_or_scores():
     assert gates.protocol_mismatches(drifted, want) == ["AR@1.6"]
 
 
-def test_response_gate_fires_on_a_changed_answer():
-    expected = {"type": "top_k", "entries": [{"rank": 1, "paper_id": "P1", "score": 0.5}]}
-    document = {"version": 4, "result": json.loads(json.dumps(expected))}
-    assert gates.response_mismatch(document, 4, expected) is None
-    assert gates.response_mismatch(document, 5, expected)
-    document["result"]["entries"][0]["score"] = 0.5000000000000001
-    assert gates.response_mismatch(document, 4, expected)
+def test_read_gate_fires_on_a_changed_answer():
+    from repro.gateway.loadgen import _canon, _direct_payload
+    from repro.serve import RankingService, ScoreIndex
+    from repro.synth import generate_dataset
+
+    index = ScoreIndex(generate_dataset("hep-th", size="tiny", seed=3))
+    index.add_method("AR")
+    service = RankingService(index)
+    request = {"kind": "top", "method": "AR", "k": 5, "offset": 0, "span": None}
+    result = _canon(_direct_payload(service, request))
+    record = {"request": request, "status": 200, "version": service.version,
+              "result": result}
+    at = lambda version: service if version == service.version else None  # noqa: E731
+    assert gates.read_mismatches([record], at) == 0
+    assert gates.read_mismatches([{**record, "version": service.version + 1}], at) == 1
+    changed = json.loads(json.dumps(result))
+    changed["entries"][0]["score"] = float(np.nextafter(changed["entries"][0]["score"], 1))
+    assert gates.read_mismatches([{**record, "result": changed}], at) == 1
+
+
+def _step(*children):
+    root = (1, None, "bench.rank", 0.0, 10.0, None, {"root": True})
+    return tracing.build_forest([root, *children])
+
+
+NESTED = [(2, 1, "io.load", 0.0, 4.0, None, None),
+          (3, 1, "core.solve", 4.0, 10.0, None, None),
+          (4, 3, "graph.operator", 5.0, 6.0, None, None)]
+
+
+def test_reconciliation_passes_when_the_layers_cover_the_step():
+    assert tracing.reconcile(_step(*NESTED)) == pytest.approx(0.0)
+
+
+def test_reconciliation_fires_on_a_missing_layer_span():
+    # The solve was not traced (say, a renamed function): the step's
+    # last six seconds belong to no layer.
+    assert tracing.reconcile(_step(NESTED[0])) == pytest.approx(0.6)
+    assert tracing.reconcile(_step(NESTED[0])) > workloads.RECONCILE_TOLERANCE
 
 
 def test_reconciliation_fires_on_overlapping_steps():
-    root = (1, None, "bench.rank", 0.0, 10.0, None, {"root": True})
-    nested = [root, (2, 1, "io.load", 1.0, 4.0, None, None),
-              (3, 1, "core.solve", 4.0, 9.0, None, None),
-              (4, 3, "graph.operator", 5.0, 6.0, None, None)]
-    assert tracing.reconcile(tracing.build_forest(nested)) == pytest.approx(0.0)
-    overlapping = nested + [(5, 1, "serve.index_save", 8.0, 9.5, None, None)]
-    assert tracing.reconcile(tracing.build_forest(overlapping)) > workloads.RECONCILE_TOLERANCE
+    overlapping = [*NESTED, (5, 1, "serve.index_save", 8.0, 9.5, None, None)]
+    assert tracing.reconcile(_step(*overlapping)) > workloads.RECONCILE_TOLERANCE
 
 
 def test_a_growing_backlog_misses_the_objective():

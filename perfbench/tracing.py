@@ -9,10 +9,11 @@ enclosing span, and the gateway request id bound at the time.
 
 The layer of a span is the part of its name before the first dot.
 Self time is a span's duration minus the part of it covered by its
-children.  :func:`reconcile` checks that the self times of every span
-tree add up to the duration of its root, which holds only when the
-traced steps nest and do not overlap, that is, when they are the
-blocking steps of the measured operation.
+children.  The benchmark's own spans (layer ``bench``) are the roots:
+each times one measured step.  :func:`reconcile` checks that the layer
+spans under each root account for the root's duration: the root's own
+self time is time no traced layer call covers, and a missing or
+renamed layer function shows up there.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import json
 import sys
 import time
 from typing import Any, Callable, Iterable
+
+#: The layer of the benchmark's root spans.
+ROOT_LAYER = "bench"
 
 # (module, attribute path, span name).  The span name's prefix is the
 # layer.  Request-path entries run inside the program's server.
@@ -181,6 +185,18 @@ class Tracer:
                         getattr(loaded, path, None) is original:
                     setattr(loaded, path, wrapper)
         self._install_encode_probe()
+        self._install_interval_probe()
+
+    def _install_interval_probe(self) -> None:
+        """Time the live updater's sleep between micro-batches
+        (``GatewayConfig.update_interval``), a step of every catch-up.
+
+        The updater sleeps through the ``asyncio`` name of its module,
+        so the probe replaces that name in the module only.
+        """
+        updates = importlib.import_module("repro.gateway.updates")
+        updates.asyncio = _proxy(updates.asyncio, sleep=self._wrap(
+            updates.asyncio.sleep, "gateway.interval"))
 
     def _install_encode_probe(self) -> None:
         """Time the gateway's ``json.dumps`` of each response body.
@@ -189,20 +205,24 @@ class Tracer:
         replaces the ``json`` name in the gateway module only.
         """
         server = importlib.import_module("repro.gateway.server")
-        real_json = server.json
-        dumps = self._wrap(real_json.dumps, "gateway.encode")
-
-        class _Json:
-            def __getattr__(self, attr):
-                return getattr(real_json, attr)
-
-        proxy = _Json()
-        proxy.dumps = dumps
-        server.json = proxy
+        server.json = _proxy(server.json, dumps=self._wrap(server.json.dumps,
+                                                           "gateway.encode"))
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.spans, handle)
+
+
+def _proxy(module: Any, **replaced: Callable) -> Any:
+    """A stand-in for ``module`` with some of its names replaced."""
+    class _Module:
+        def __getattr__(self, attr):
+            return getattr(module, attr)
+
+    proxy = _Module()
+    for attr, value in replaced.items():
+        setattr(proxy, attr, value)
+    return proxy
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +318,19 @@ def name_self_times(roots: Iterable[Span]) -> dict[str, float]:
     return totals
 
 
-def reconcile(roots: list[Span]) -> float:
-    """Relative gap between summed layer self times and root durations.
+def reconcile(roots: Iterable[Span]) -> float:
+    """How far the layer spans miss the duration of the benchmark's steps.
 
-    Zero when every traced step nests inside its parent and no two
-    siblings overlap; overlapping or escaping spans make it positive.
+    Over the ``bench`` roots: the share of their time that no layer
+    span covers (their own self time), plus the share by which the
+    layers' self times overrun the roots (overlapping or escaping
+    spans).  Zero when the traced layer calls nest and cover every
+    step end to end.
     """
-    end_to_end = sum(root.duration for root in roots)
-    if end_to_end <= 0:
-        return 0.0
-    layered = sum(layer_self_times(roots).values())
-    return abs(layered - end_to_end) / end_to_end
+    steps = [root for root in roots if layer_of(root.name) == ROOT_LAYER]
+    total = sum(root.duration for root in steps)
+    if total <= 0:
+        return 1.0
+    unattributed = sum(self_time(root) for root in steps)
+    summed = sum(self_time(span) for root in steps for span in walk(root))
+    return (unattributed + max(0.0, summed - total)) / total

@@ -2,20 +2,26 @@
 
 Every run reports every end-to-end metric, so every run exercises every
 path the metrics name.  A workload is a corpus scale and a main phase;
-the other paths run as short probes on the ``medium`` corpus.  Main
-phase and probes alternate in rounds, so each metric is sampled across
-the whole run and reported as the median of its samples.
+the other paths run as short probes on the ``medium`` corpus (the
+protocol on ``small`` networks).  Main phase and probes alternate in
+rounds, so each metric is sampled across the whole run (see
+:meth:`Probes.put` for how samples combine).  Every time is scaled to
+the reference machine's speed (``harness.calibration``).
 
 ===========  ==================================  ==========================
 workload     main phase (per round)              probes (per round)
 ===========  ==================================  ==========================
 rank_scale   rank + reopen, 100k papers          protocol (one test
-                                                 ratio), a read leg, a
-                                                 replay slice
-ingest_live  catch-up of the ``small`` log's     rank + reopen, protocol
-             second half beside reads            (one test ratio)
+                                                 ratio) twice, a read
+                                                 leg, a replay slice
+ingest_live  catch-up of the ``small`` log's     a read leg, rank +
+             second half beside reads            reopen, protocol (one
+                                                 test ratio) twice
 ===========  ==================================  ==========================
 
+With ``--trace 1`` the same rounds run, and the program records spans
+in every second round: the span trees and the generator's own figures
+come from the traced rounds, every other figure from the untraced ones.
 The correctness gates run after the rounds, outside every timed region.
 """
 
@@ -25,6 +31,7 @@ import contextlib
 import json
 import os
 import random
+import statistics
 import sys
 import threading
 import time
@@ -37,7 +44,9 @@ import numpy as np
 import gates
 import loadgen
 import tracing
-from harness import BenchError, Runner, first_ok, http_get, median
+from harness import (BenchError, Runner, at_reference_speed, calibration, first_ok,
+                     http_get, median)
+from repro.gateway.loadgen import _ReplicaAtVersion, _target_of
 
 METHODS = ["AR", "PR", "CC"]
 #: Nominal read rate (requests/second), well below the highest rate that
@@ -45,10 +54,14 @@ METHODS = ["AR", "PR", "CC"]
 #: so that a slower moment of a shared machine does not saturate it.
 NOMINAL_RATE = 200
 CATALOGUE_SIZE = 1000
+#: Popularity skew of the catalogue.  An assumption, not a measurement:
+#: no public query log of a scholarly ranking service is at hand to set
+#: it from.  It sets the repeat share of the reads and so the LRU's hit
+#: ratio, which ``read_cpu_ms`` depends on.
 ZIPF_EXPONENT = 1.1
 WARMUP_SECONDS = 0.3
 #: A read leg lasts ``--seconds`` divided by this.
-LEGS_PER_RUN_SECONDS = 5
+LEGS_PER_RUN_SECONDS = 7
 WINDOW_SECONDS = 2.0
 #: The rate ladder starts here (``loadgen.climb_ladder``).
 LADDER_START = 800
@@ -59,12 +72,18 @@ SCALE_PAPERS = 100_000
 #: shared machine at once, and its time spread 0.16-0.28 of its median
 #: over 10 runs; the traced run reports that time as parallel.speedup.
 PROBE_RATIOS = [1.6]
+#: Protocol probes per round, each on another network: the protocol's
+#: cost varies by about a quarter from one network to the next (solver
+#: iterations), so a run takes the mean over many.
+PROTOCOLS_PER_ROUND = 2
+#: Reopenings per ``open_s`` sample, by corpus: a ``medium`` index
+#: reopens in ~50 ms, too short next to the calibration unit.
+OPENS_PER_SAMPLE = {"medium": 5}
 #: Reads beside ingest: every read waits behind update batches, so the
 #: read path saturates far below ``NOMINAL_RATE``.
 INGEST_READ_RATE = 100
-#: Untraced and traced rounds alternate this many times in a traced run.
-TRACE_PAIRS = 2
-#: Largest relative gap allowed by the reconciliation check.
+#: Largest share of the traced steps' time that the layer spans may
+#: leave uncovered (``tracing.reconcile``).
 RECONCILE_TOLERANCE = 0.02
 PAGE = "/v1/top?method=AR&k=10&offset=0"
 
@@ -78,21 +97,21 @@ class Profile:
     scale: str
     #: The corpus of the probes and of the served static index.
     probe: str
+    #: The corpus of the protocol probe.
+    protocol: str
     #: ingest_live catches up the second half of this corpus's log.
     ingest: str
     rank_rounds: int
     ingest_rounds: int
-    #: Program processes set up per run; ``setup_s`` is their median.
-    setups: int
     #: Micro-batches per replay slice (rank_scale).
     replay_batches: int
 
 
-FULL = Profile(scale="scale", probe="medium", ingest="small", rank_rounds=5,
-               ingest_rounds=3, setups=3, replay_batches=40)
+FULL = Profile(scale="scale", probe="medium", protocol="small", ingest="small",
+               rank_rounds=4, ingest_rounds=3, replay_batches=60)
 #: A quick pass over every code path, for the benchmark's own tests.
-SMOKE = Profile(scale="tiny", probe="tiny", ingest="tiny", rank_rounds=1,
-                ingest_rounds=1, setups=1, replay_batches=5)
+SMOKE = Profile(scale="tiny", probe="tiny", protocol="tiny", ingest="tiny",
+                rank_rounds=1, ingest_rounds=1, replay_batches=5)
 
 END_TO_END = {
     "setup_s": "s",
@@ -274,13 +293,16 @@ class Run:
         self.inputs = Inputs(inputs_dir, seed)
         self.result = Result()
         self.rng = random.Random(seed)
+        #: Whether the program records spans in the current round.
+        self.recording = False
+        self.setup_samples: list[float] = []
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
 
 
 # ----------------------------------------------------------------------
-# Probes
+# Rounds, probes and reads
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def phase(name: str):
@@ -290,45 +312,100 @@ def phase(name: str):
     print(f"phase {name}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
 
-class Probes:
-    """The offline probes one program process runs, round after round.
+def rounds(run: Run, runner: Runner, count: int, start: Callable[[Runner], float]):
+    """The rounds of a run.
 
-    Each call appends samples; :meth:`put` reports their medians.
+    In an untraced run every second round but the last ends by setting
+    up one more fresh program (``set_up``) and closing it, so the
+    ``setup_s`` samples are spread over the run like every other sample.  With
+    ``--trace 1`` the program records spans in every second round (at
+    least one of each kind), so each traced round has untraced
+    neighbours to compare with; every sample is kept with whether it
+    was recorded (``run.recording``).
+    """
+    if run.traced:
+        count = max(2, count)
+    for round_ in range(count):
+        run.recording = run.traced and round_ % 2 == 1
+        if run.traced:
+            runner.call("trace", on=run.recording)
+        with phase(f"round {round_}" + (" (traced)" if run.recording else "")):
+            yield round_
+        if not run.traced and round_ % 2 == 0 and round_ < count - 1:
+            set_up(run, start).close()
+    run.recording = False
+    if run.traced:
+        runner.call("trace", on=False)
+    run.result.put("setup_s", median(run.setup_samples), "s")
+
+
+class Probes:
+    """The offline steps one program process runs, round after round.
+
+    Each call appends a sample, marked traced or not; :meth:`put`
+    reports the median of the untraced ones.
     """
 
     def __init__(self, run: Run, runner: Runner) -> None:
         self.run = run
         self.runner = runner
-        self.samples: dict[str, list[float]] = defaultdict(list)
+        self.samples: dict[str, list[tuple[float, bool]]] = defaultdict(list)
         self.replies: dict[str, list[dict]] = defaultdict(list)
 
+    def sample(self, name: str, value: float) -> None:
+        self.samples[name].append((value, self.run.recording))
+
+    def call(self, op: str, **arguments: Any) -> dict:
+        """A program command, with the host's speed around it: the mean
+        time of the calibration unit just before and after, in this
+        process (``calibration_s``)."""
+        before = calibration()
+        reply = self.runner.call(op, **arguments)
+        reply["calibration_s"] = (before + calibration()) / 2
+        return reply
+
+    def values(self, name: str, traced: bool = False) -> list[float]:
+        return [value for value, recorded in self.samples[name] if recorded == traced]
+
     def rank(self, size: str, opens: int) -> None:
-        """Rank (load, solve, save), then reopen ``opens`` times."""
+        """Rank (load, solve, save), then take ``opens`` reopening
+        samples."""
         network = self.run.inputs.network(size)
         index = self.run.path(f"index-{size}.npz")
-        ranked = self.runner.call("rank", network=network, index=index, methods=METHODS)
-        self.samples["rank_s"].append(ranked["rank_s"])
+        ranked = self.call("rank", network=network, index=index, methods=METHODS)
+        self.sample("rank_s", at_reference_speed(ranked["rank_s"], ranked["calibration_s"]))
         self.replies["rank"].append(ranked)
         self.run.result.check(1, [], "rank")
         for _ in range(opens):
-            opened = self.runner.call("open", index=index, method="AR", k=10)
-            self.samples["open_s"].append(opened["open_s"])
-            self.replies["open"].append(opened)
-            self.run.result.check(1, opened["mismatches"], f"reloaded index ({size})")
+            self.open(size)
+
+    def open(self, size: str) -> None:
+        """One reopening sample of the index the last :meth:`rank` of
+        ``size`` saved: the mean over enough reopenings to last about a
+        quarter of a second, so the calibration around it is short next
+        to it (``OPENS_PER_SAMPLE``)."""
+        times = OPENS_PER_SAMPLE.get(size, 1)
+        opened = self.call("open", index=self.run.path(f"index-{size}.npz"),
+                           method="AR", k=10, times=times)
+        self.sample("open_s", at_reference_speed(opened["open_s"], opened["calibration_s"]))
+        self.replies["open"].append(opened)
+        self.run.result.check(times, opened["mismatches"], f"reloaded index ({size})")
 
     def protocol(self, size: str) -> None:
         """The paper's protocol at ``PROBE_RATIOS`` as the library runs it,
         serially (``repro.eval.compare_over_ratios``, fused grid solves).
 
         Each call tunes on another network of ``size`` drawn from the
-        seed: the protocol's cost depends on the network (up to a fifth
-        of it on ``medium``), and a median over several networks keeps
-        one network from setting a run's figure.
+        seed: the protocol's cost depends on the network, and a median
+        over several networks keeps one network from setting a run's
+        figure.
         """
         variant = len(self.replies["protocol"])
-        reply = self.runner.call("protocol", network=self.run.inputs.network(size, variant),
-                                 jobs=1, ratios=PROBE_RATIOS, serial=True)
-        self.samples["protocol_s"].append(reply["protocol_s"])
+        reply = self.call("protocol", network=self.run.inputs.network(size, variant),
+                          jobs=1, ratios=PROBE_RATIOS, serial=True)
+        self.sample("protocol_s", at_reference_speed(reply["protocol_cpu_s"],
+                                                     reply["calibration_s"]))
+        self.sample("protocol_wall_s", reply["protocol_s"])
         self.replies["protocol"].append(reply)
 
     def protocol_gate(self, size: str) -> dict:
@@ -350,16 +427,34 @@ class Probes:
 
     def replay(self, batches: int) -> None:
         """The next ``batches`` micro-batches of the log, in process."""
-        reply = self.runner.call("replay_step", batches=batches)
-        self.samples["ingest_events_per_s"].append(reply["events"] / reply["ingest_s"])
+        reply = self.call("replay_step", batches=batches)
+        self.sample("ingest_s", at_reference_speed(reply["ingest_cpu_s"], reply["calibration_s"]))
+        self.sample("ingest_events", reply["events"])
 
     def replay_gate(self) -> None:
         reply = self.runner.call("replay_check")
         self.run.result.check(reply["batches"], reply["mismatches"], "replay finalize")
 
-    def put(self, *names: str) -> None:
-        for name in names:
-            self.run.result.put(name, median(self.samples[name]), END_TO_END[name])
+    def put(self) -> None:
+        """The end-to-end figures of the untraced samples.
+
+        Repeats of one step on one input (ranking, reopening) report
+        their median.  Steps over inputs that differ from sample to
+        sample (the protocol over networks, ingest over a log's slices)
+        report their total work over their total time.
+        """
+        for name in ("rank_s", "open_s", "protocol_s", "ingest_s"):
+            print(f"samples {name}: {json.dumps(self.values(name))}", file=sys.stderr)
+        result = self.run.result
+        result.put("rank_s", median(self.values("rank_s")), "s")
+        result.put("open_s", median(self.values("open_s")), "s")
+        result.put("protocol_s", statistics.fmean(self.values("protocol_s")), "s")
+        result.put("ingest_events_per_s",
+                   sum(self.values("ingest_events")) / sum(self.values("ingest_s")), "1/s")
+
+    def overhead(self, name: str) -> float:
+        """Traced over untraced median of a step's time."""
+        return median(self.values(name, traced=True)) / median(self.values(name))
 
 
 class Reads:
@@ -368,19 +463,24 @@ class Reads:
     def __init__(self, run: Run, size: str) -> None:
         self.run = run
         self.catalogue = run.inputs.catalogue(size)
-        self.targets = [loadgen.target_of(q) for q in self.catalogue]
+        self.targets = [_target_of(q) for q in self.catalogue]
         self.zipf = loadgen.Zipf(len(self.catalogue), ZIPF_EXPONENT)
         self.connections = os.cpu_count() or 1
+        #: Every leg sent, for the gate.
         self.legs: list[loadgen.Leg] = []
-        self.cpu_ms: list[float] = []
+        #: The measured legs (not warm-ups or ladder rungs).
+        self.measured: list[loadgen.Leg] = []
+        #: Program CPU per answered read of each measured leg, and
+        #: whether the leg was traced.
+        self.cpu_ms: list[tuple[float, bool]] = []
         self.max_rps: list[float] = []
-        self.climbs: list[int] = []
 
     def leg(self, port: int, seconds: float, rate: float = NOMINAL_RATE, *,
             stop: threading.Event | None = None, prefix: str = "n") -> loadgen.Leg:
         schedule = loadgen.poisson_schedule(self.run.rng, rate, seconds, self.zipf)
         leg = loadgen.run_leg(port, self.connections, self.targets, schedule,
                               rate, seconds, stop=stop, rid_prefix=prefix)
+        leg.traced = self.run.recording
         self.legs.append(leg)
         return leg
 
@@ -391,36 +491,45 @@ class Reads:
 
     def nominal(self, runner: Runner, seconds: float) -> loadgen.Leg:
         """A measured leg at the nominal rate, with program CPU per read."""
+        before = calibration()
         cpu = runner.cpu_seconds()
         leg = self.leg(runner.port, seconds, prefix=f"n{len(self.legs)}-")
-        self.cpu_ms.append((runner.cpu_seconds() - cpu) / max(1, len(leg.ok)) * 1e3)
+        per_read = (runner.cpu_seconds() - cpu) / max(1, len(leg.ok))
+        speed = (before + calibration()) / 2
+        self.cpu_ms.append((at_reference_speed(per_read, speed) * 1e3, leg.traced))
+        self.measured.append(leg)
         return leg
 
+    def beside(self, runner: Runner, stop: threading.Event, prefix: str) -> loadgen.Leg:
+        """A measured leg at ``INGEST_READ_RATE`` that ends with ``stop``."""
+        leg = self.leg(runner.port, 150.0, INGEST_READ_RATE, stop=stop, prefix=prefix)
+        self.measured.append(leg)
+        return leg
+
+    def traced_legs(self, traced: bool) -> list[loadgen.Leg]:
+        return [leg for leg in self.measured if leg.traced == traced]
+
     def ladder(self, port: int) -> None:
-        """One climb of the rate ladder.  Later climbs start a coarse
-        step below the rate the previous climb reached."""
-        start = LADDER_START
-        if self.climbs:
-            start = loadgen.LADDER[max(0, self.climbs[-1] - loadgen.COARSE_STEP)]
+        """One climb of the rate ladder, untraced."""
         best, rungs = loadgen.climb_ladder(port, self.connections, self.targets,
-                                           self.run.rng, self.zipf, RUNG_SECONDS, start)
+                                           self.run.rng, self.zipf, RUNG_SECONDS, LADDER_START)
         self.legs.extend(rungs)
         if best is None:
             raise BenchError("no ladder rate met the latency objective")
-        self.climbs.append(loadgen.LADDER.index(best.rate))
         self.max_rps.append(best.achieved_rate())
 
     def put_max_rps(self) -> None:
-        """The median over climbs of the top passing rung's answer rate."""
+        """The top passing rung's answer rate."""
         self.run.result.put("read_max_rps", median(self.max_rps), "1/s")
 
-    def put_latency(self, legs: list[loadgen.Leg]) -> None:
-        """p50 and p99 of the reads, each timed from when it was due.
+    def put_latency(self) -> None:
+        """p50 and p99 of the untraced measured reads, each timed from
+        when it was due.
 
         Both are medians over ``WINDOW_SECONDS`` windows of each window's
         quantile, so one stall of a shared machine moves one window.
         """
-        windows = [w for leg in legs for w in leg.windows(WINDOW_SECONDS)]
+        windows = [w for leg in self.traced_legs(False) for w in leg.windows(WINDOW_SECONDS)]
         if not windows:
             raise BenchError("no answered reads to take quantiles of")
         for name, q in (("read_p50_ms", 0.5), ("read_p99_ms", 0.99)):
@@ -429,35 +538,20 @@ class Reads:
               file=sys.stderr)
 
     def put_cpu(self) -> None:
-        self.run.result.put("read_cpu_ms", median(self.cpu_ms), "ms")
+        self.run.result.put("read_cpu_ms", median(
+            value for value, traced in self.cpu_ms if not traced), "ms")
 
     def verify(self, service_at: Callable[[int], Any]) -> None:
         """Compare every response with a direct call at its version."""
         records = [r for leg in self.legs for r in leg.records]
-        answered = []
-        problems = []
-        for record in records:
-            if record.status != 200:
-                problems.append(f"status {record.status}")
-                continue
-            answered.append((loadgen.decode(record), record.query))
-        answered.sort(key=lambda pair: pair[0].get("version", -1))
-        expected: dict[tuple[int, int], Any] = {}
-        for document, query in answered:
-            version = int(document.get("version", -1))
-            key = (version, query)
-            if key not in expected:
-                service = service_at(version)
-                expected[key] = (
-                    None if service is None
-                    else loadgen.direct_payload(service, self.catalogue[query])
-                )
-            if expected[key] is None:
-                problems.append(f"version {version} cannot be replayed")
-                continue
-            mismatch = gates.response_mismatch(document, version, expected[key])
-            if mismatch:
-                problems.append(mismatch)
+        answered = [
+            {"request": self.catalogue[r.query], "status": 200,
+             "version": r.document.get("version"), "result": r.document.get("result")}
+            for r in records if r.status == 200
+        ]
+        problems = [f"status {r.status}" for r in records if r.status != 200]
+        problems += ["response differs from a direct call"] * gates.read_mismatches(
+            answered, service_at)
         self.run.result.check(len(records), problems, "reads")
 
     def repeat_share(self, leg: loadgen.Leg) -> float:
@@ -522,7 +616,7 @@ def catch_up(runner: Runner, reads: Reads, prefix: str) -> dict:
 
     waiter = threading.Thread(target=wait)
     waiter.start()
-    outcome["leg"] = reads.leg(runner.port, 150.0, INGEST_READ_RATE, stop=done, prefix=prefix)
+    reads.beside(runner, done, prefix)
     waiter.join()
     if "error" in outcome:
         raise BenchError(outcome["error"])
@@ -535,15 +629,7 @@ def check_ingest(run: Run, runner: Runner, reads: Reads, batches: int) -> None:
 
     log = run.inputs.event_log(run.profile.ingest)
     replica = StreamIngestor(log, METHODS, bootstrap_size=len(log) // 2)
-
-    def at(version: int):
-        if replica.batches_applied == 0:
-            replica.step()
-        while replica.service.version < version and not replica.exhausted:
-            replica.step()
-        return replica.service if replica.service.version == version else None
-
-    reads.verify(at)
+    reads.verify(_ReplicaAtVersion(replica))
     out = run.path("finalized.npz")
     runner.call("finalize", out=out)
     with np.load(out) as saved:
@@ -554,20 +640,18 @@ def check_ingest(run: Run, runner: Runner, reads: Reads, batches: int) -> None:
 
 
 def set_up(run: Run, start: Callable[[Runner], float]) -> Runner:
-    """Set the program up ``profile.setups`` times; keep the last one.
+    """A fresh program process, prepared by ``start``.
 
-    ``start`` prepares a fresh program and returns when it is ready for
-    the first timed operation.  ``setup_s`` is the median set-up time.
+    ``start`` returns the moment the program is ready for the first
+    timed operation; the time from spawning the process to then is one
+    ``setup_s`` sample.
     """
-    samples = []
-    runner = None
-    for sample in range(run.profile.setups):
-        if runner is not None:
-            runner.close()
-        with phase(f"set-up {sample}"):
-            runner = Runner(run.workdir)
-            samples.append(start(runner) - runner.spawned)
-    run.result.put("setup_s", median(samples), "s")
+    with phase(f"set-up {len(run.setup_samples)}"):
+        # Calibrated before the spawn only: once ready, ingest_live's
+        # program is busy catching up.
+        speed = calibration()
+        runner = Runner(run.workdir, traced=run.traced)
+        run.setup_samples.append(at_reference_speed(start(runner) - runner.spawned, speed))
     return runner
 
 
@@ -581,30 +665,44 @@ def rank_scale(run: Run) -> None:
     with phase("inputs"):
         run.inputs.network(profile.scale)
         run.inputs.log(profile.probe)
-        for variant in range(max(profile.rank_rounds, 2 * TRACE_PAIRS)):
-            run.inputs.network(profile.probe, variant)
-    if run.traced:
-        return rank_scale_traced(run)
-    with set_up(run, lambda runner: runner.ready) as runner:
+        for variant in range(PROTOCOLS_PER_ROUND * max(2, profile.rank_rounds)):
+            run.inputs.network(profile.protocol, variant)
+    reads = Reads(run, profile.probe)
+
+    def start(runner: Runner) -> float:
+        return runner.ready
+
+    with set_up(run, start) as runner:
         serve(run, runner, profile.probe)
-        reads = Reads(run, profile.probe)
         reads.warm(runner.port)
         probes = Probes(run, runner)
         probes.replay_start(profile.probe)
-        for round_ in range(profile.rank_rounds):
-            with phase(f"round {round_}"):
-                probes.rank(profile.scale, opens=2)
-                probes.protocol(profile.probe)
-                reads.nominal(runner, run.leg_seconds)
-                probes.replay(profile.replay_batches)
+        before = cache_counts(runner.port)
+        for _ in rounds(run, runner, profile.rank_rounds, start):
+            # Short steps, spread over the round: the host's speed drifts.
+            probes.rank(profile.scale, opens=1)
+            probes.protocol(profile.protocol)
+            reads.nominal(runner, run.leg_seconds)
+            probes.open(profile.scale)
+            probes.protocol(profile.protocol)
+            probes.replay(profile.replay_batches)
         run.result.put("rss_mb", runner.peak_rss_mb(), "MB")
+        if run.traced:
+            gateway_metrics(run, runner.port, before)
+            spans = load_spans(runner, run)
+            reads.ladder(runner.port)
         runner.call("stop")
         with phase("gates"):
-            probes.protocol_gate(profile.probe)
+            parallel = probes.protocol_gate(profile.protocol)
             probes.replay_gate()
-    probes.put("rank_s", "open_s", "protocol_s", "ingest_events_per_s")
-    reads.put_cpu()
     verify_static(run, reads, profile.probe)
+    probes.put()
+    reads.put_cpu()
+    if run.traced:
+        traced_rounds = len(probes.values("rank_s", traced=True))
+        put_layers(run, probes, reads, parallel, spans,
+                   batches=profile.replay_batches * traced_rounds, ops=traced_rounds)
+        run.result.put("trace.overhead_ratio", probes.overhead("rank_s"), "ratio")
 
 
 def ingest_live(run: Run) -> None:
@@ -613,37 +711,55 @@ def ingest_live(run: Run) -> None:
     profile = run.profile
     with phase("inputs"):
         run.inputs.log(profile.ingest)
-        for variant in range(max(profile.ingest_rounds, 2 * TRACE_PAIRS)):
-            run.inputs.network(profile.probe, variant)
-    if run.traced:
-        return ingest_live_traced(run)
+        for variant in range(PROTOCOLS_PER_ROUND * max(2, profile.ingest_rounds)):
+            run.inputs.network(profile.protocol, variant)
     reads = Reads(run, profile.ingest)
     after = Reads(run, profile.ingest)
-    rates = []
-    with set_up(run, lambda runner: ingest(run, runner)) as runner:
+    batches = 0
+
+    def start(runner: Runner) -> float:
+        return ingest(run, runner)
+
+    with set_up(run, start) as runner:
         probes = Probes(run, runner)
-        for round_ in range(profile.ingest_rounds):
-            with phase(f"round {round_}"):
-                if round_:
-                    runner.call("stop")
-                    ingest(run, runner)
-                catchup = catch_up(runner, reads, f"c{round_}-")
-                rates.append(catchup["events"] / catchup["ingest_s"])
-                # The caught-up server now serves a static index.
-                after.warm(runner.port)
-                after.nominal(runner, run.leg_seconds)
-                for _ in range(3):
-                    probes.rank(profile.probe, opens=1)
-                probes.protocol(profile.probe)
+        for round_ in rounds(run, runner, profile.ingest_rounds, start):
+            # Every round restarts the server, so the host's speed is
+            # calibrated while the program is idle, before and after.
+            runner.call("stop")
+            speed = calibration()
+            ingest(run, runner)
+            before = cache_counts(runner.port)
+            catchup = catch_up(runner, reads, f"c{round_}-")
+            probes.sample("ingest_s", at_reference_speed(catchup["ingest_s"],
+                                                         (speed + calibration()) / 2))
+            probes.sample("ingest_events", catchup["events"])
+            if run.recording:
+                gateway_metrics(run, runner.port, before)
+                batches += catchup["batches"]
+            # The caught-up server now serves a static index.
+            after.warm(runner.port)
+            after.nominal(runner, run.leg_seconds)
+            # Short steps, spread over the round's tail.
+            probes.rank(profile.probe, opens=1)
+            for _ in range(PROTOCOLS_PER_ROUND):
+                probes.protocol(profile.protocol)
+                probes.rank(profile.probe, opens=1)
         run.result.put("rss_mb", runner.peak_rss_mb(), "MB")
+        if run.traced:
+            spans = load_spans(runner, run)
+            after.ladder(runner.port)
         runner.call("stop")
         with phase("gates"):
             reads.legs += after.legs
             check_ingest(run, runner, reads, catchup["batches"])
-            probes.protocol_gate(profile.probe)
-    probes.put("rank_s", "open_s", "protocol_s")
+            parallel = probes.protocol_gate(profile.protocol)
+    probes.put()
     after.put_cpu()
-    run.result.put("ingest_events_per_s", median(rates), "1/s")
+    if run.traced:
+        put_layers(run, probes, reads, parallel, spans, batches=batches,
+                   ops=len(probes.values("ingest_s", traced=True)))
+        after.put_max_rps()
+        run.result.put("trace.overhead_ratio", probes.overhead("ingest_s"), "ratio")
 
 
 WORKLOADS: dict[str, Callable[[Run], None]] = {
@@ -658,7 +774,7 @@ WORKLOADS: dict[str, Callable[[Run], None]] = {
 def client_roots(legs: list[loadgen.Leg]) -> list[tuple]:
     """The benchmark-side span of every answered read (send to reply)."""
     return [
-        (10 ** 12 + n, None, "gateway.http", r.sent, r.done, r.rid, None)
+        (10 ** 12 + n, None, "loadgen.read", r.sent, r.done, r.rid, None)
         for n, r in enumerate(r for leg in legs for r in leg.ok)
     ]
 
@@ -674,14 +790,35 @@ def overlap(intervals: list[tuple[float, float]], lo: float, hi: float) -> float
     return sum(max(0.0, min(hi, b) - max(lo, a)) for a, b in intervals)
 
 
+def put_layers(run: Run, probes: Probes, reads: Reads, parallel: dict, spans: list, *,
+               batches: int, ops: int) -> None:
+    """Every per-layer metric of a traced run.
+
+    Span trees come from the traced rounds and the traced reads; read
+    latency, the ladder and the protocol's speedup from untraced ones.
+    """
+    legs = reads.traced_legs(True)
+    layer_metrics(run, spans, client_roots(legs), reads=sum(len(leg.ok) for leg in legs),
+                  batches=batches, ops=ops)
+    loadgen_metrics(run, reads, legs)
+    reads.put_latency()
+    if reads.max_rps:
+        reads.put_max_rps()
+    serial_s = median(probes.values("protocol_wall_s"))
+    run.result.put("serve.index_bytes", probes.replies["rank"][-1]["index_bytes"], "bytes")
+    run.result.put("serve.first_query_s", probes.replies["open"][-1]["first_query_s"], "s")
+    run.result.put("parallel.serial_s", serial_s, "s")
+    run.result.put("parallel.speedup", serial_s / parallel["protocol_s"], "ratio")
+
+
 def layer_metrics(run: Run, spans: list, external: list[tuple], *,
                   reads: int = 0, batches: int = 0, ops: int = 1) -> None:
-    """Per-layer metrics from the span trees of the traced section.
+    """Per-layer metrics from the span trees of the traced rounds.
 
     Times are self times.  Request-path times are per answered read and
     update-path times per update batch; the other times and counts are
-    per traced round (the section holds ``ops`` rounds and one parallel
-    protocol run).  A path the section does not run reads 0.
+    per traced round (``ops`` of them).  A path the rounds do not run
+    reads 0.
     """
     roots = tracing.build_forest(spans, external)
     setup = [root for root in roots if root.name == "bench.setup"]
@@ -735,13 +872,18 @@ def layer_metrics(run: Run, spans: list, external: list[tuple], *,
     print("layer self time: " + ", ".join(
         f"{layer} {seconds / total:.1%}" for layer, seconds in
         sorted(layers.items(), key=lambda item: -item[1])), file=sys.stderr)
+    steps_by_name: dict[str, list] = defaultdict(list)
+    for root in roots:
+        steps_by_name[root.name].append(root)
+    print("unattributed: " + ", ".join(
+        f"{name} {tracing.reconcile(group):.2%}" for name, group in sorted(steps_by_name.items())
+        if tracing.layer_of(name) == tracing.ROOT_LAYER), file=sys.stderr)
     error = tracing.reconcile(roots)
     put("trace.reconcile_error", error, "ratio")
+    problems = []
     if error > RECONCILE_TOLERANCE:
-        run.result.check(1, [f"layer self times miss the traced total by {error:.1%}"],
-                         "reconciliation")
-    else:
-        run.result.check(1, [], "reconciliation")
+        problems.append(f"layer spans miss the traced steps by {error:.1%}")
+    run.result.check(1, problems, "reconciliation")
 
 
 def zero_missing(run: Run) -> None:
@@ -768,88 +910,3 @@ def loadgen_metrics(run: Run, reads: Reads, legs: list[loadgen.Leg]) -> None:
     run.result.put("loadgen.backlog", max(leg.backlog_end for leg in legs), "count")
     run.result.put("loadgen.repeat_share", median(reads.repeat_share(leg) for leg in legs),
                    "ratio")
-
-
-def rank_scale_traced(run: Run) -> None:
-    """Untraced and traced rounds alternate; then the gating parallel protocol, traced."""
-    profile = run.profile
-    reads = Reads(run, profile.probe)
-    legs, rank_s = [], {False: [], True: []}
-    with Runner(run.workdir, traced=True) as runner:
-        serve(run, runner, profile.probe)
-        reads.warm(runner.port)
-        probes = Probes(run, runner)
-        probes.replay_start(profile.probe)
-        before = cache_counts(runner.port)
-        for traced in (False, True) * TRACE_PAIRS:
-            runner.call("trace", on=traced)
-            probes.rank(profile.scale, opens=1)
-            rank_s[traced].append(probes.samples["rank_s"][-1])
-            probes.protocol(profile.probe)
-            leg = reads.nominal(runner, run.leg_seconds)
-            if traced:
-                legs.append(leg)
-            probes.replay(profile.replay_batches)
-        parallel = probes.protocol_gate(profile.probe)
-        runner.call("trace", on=False)
-        gateway_metrics(run, runner.port, before)
-        spans = load_spans(runner, run)
-        reads.ladder(runner.port)
-        runner.call("stop")
-        probes.replay_gate()
-    verify_static(run, reads, profile.probe)
-    layer_metrics(run, spans, client_roots(legs), reads=sum(len(leg.ok) for leg in legs),
-                  batches=profile.replay_batches * TRACE_PAIRS, ops=TRACE_PAIRS)
-    loadgen_metrics(run, reads, legs)
-    reads.put_latency(legs)
-    reads.put_max_rps()
-    run.result.put("trace.overhead_ratio", median(rank_s[True]) / median(rank_s[False]), "ratio")
-    put_protocol_layers(run, probes, parallel)
-
-
-def ingest_live_traced(run: Run) -> None:
-    """Untraced and traced rounds alternate; then the gating parallel protocol, traced."""
-    profile = run.profile
-    reads = Reads(run, profile.ingest)
-    legs, ingest_s, batches = [], {False: [], True: []}, 0
-    with Runner(run.workdir, traced=True) as runner:
-        probes = Probes(run, runner)
-        before = None
-        for traced in (False, True) * TRACE_PAIRS:
-            runner.call("trace", on=traced)
-            ingest(run, runner)
-            if before is None:
-                before = cache_counts(runner.port)
-            outcome = catch_up(runner, reads, f"t{len(reads.legs)}-")
-            ingest_s[traced].append(outcome["ingest_s"])
-            if traced:
-                legs.append(outcome["leg"])
-                batches += outcome["batches"]
-            if traced:
-                gateway_metrics(run, runner.port, before)
-                before = None
-                reads.ladder(runner.port)  # the caught-up, static index
-            runner.call("stop")
-            probes.rank(profile.probe, opens=1)
-            probes.protocol(profile.probe)
-        parallel = probes.protocol_gate(profile.probe)
-        runner.call("trace", on=False)
-        spans = load_spans(runner, run)
-        check_ingest(run, runner, reads, outcome["batches"])
-    layer_metrics(run, spans, client_roots(legs), reads=sum(len(leg.ok) for leg in legs),
-                  batches=batches, ops=TRACE_PAIRS)
-    loadgen_metrics(run, reads, legs)
-    reads.put_latency(legs)
-    reads.put_max_rps()
-    run.result.put("trace.overhead_ratio",
-                   median(ingest_s[True]) / median(ingest_s[False]), "ratio")
-    put_protocol_layers(run, probes, parallel)
-
-
-def put_protocol_layers(run: Run, probes: Probes, parallel: dict) -> None:
-    """Index and protocol figures that the replies carry."""
-    serial_s = median(probes.samples["protocol_s"])
-    run.result.put("serve.index_bytes", probes.replies["rank"][-1]["index_bytes"], "bytes")
-    run.result.put("serve.first_query_s", probes.replies["open"][-1]["first_query_s"], "s")
-    run.result.put("parallel.serial_s", serial_s, "s")
-    run.result.put("parallel.speedup", serial_s / parallel["protocol_s"], "ratio")
