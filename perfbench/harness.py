@@ -26,6 +26,11 @@ class BenchError(RuntimeError):
 #: time scaled by this over the unit's time around the step.
 REFERENCE_CALIBRATION_S = 0.030
 _UNIT: dict[str, Any] = {}
+#: The CPU the program process runs on and the calibration unit is
+#: timed on.  The speed of one CPU of a shared machine drifts apart from
+#: that of the other: timed side by side, one ran the unit in 24 ms
+#: while the other took 31 ms, and moments later 30 ms against 45 ms.
+PROGRAM_CPU = max(os.sched_getaffinity(0))
 
 
 def calibration() -> float:
@@ -36,7 +41,8 @@ def calibration() -> float:
     matrix with 8 entries a row) and a dictionary loop in the
     interpreter.  On a shared machine the speed of a core drifts by up
     to 1.8x for seconds to minutes with other tenants' load, and moves
-    this unit with it; the program's code never runs in it.
+    this unit with it; the program's code never runs in it.  The unit
+    runs on ``PROGRAM_CPU``, where the program runs.
     """
     import numpy as np
     import scipy.sparse
@@ -47,15 +53,27 @@ def calibration() -> float:
         rows, cols = rng.integers(0, n, 8 * n), rng.integers(0, n, 8 * n)
         _UNIT["matrix"] = scipy.sparse.csr_matrix((np.ones(8 * n), (rows, cols)), shape=(n, n))
         _UNIT["vector"] = rng.random(n)
-    started = time.thread_time()
-    vector = _UNIT["vector"]
-    for _ in range(10):
-        vector = _UNIT["matrix"] @ vector
-        vector /= vector.sum()
-    counts: dict[int, int] = {}
-    for i in range(10_000):
-        counts[i % 997] = counts.get(i % 997, 0) + i
-    return time.thread_time() - started
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {PROGRAM_CPU})  # this thread only
+    try:
+        started = time.thread_time()
+        vector = _UNIT["vector"]
+        for _ in range(10):
+            vector = _UNIT["matrix"] @ vector
+            vector /= vector.sum()
+        counts: dict[int, int] = {}
+        for i in range(10_000):
+            counts[i % 997] = counts.get(i % 997, 0) + i
+        return time.thread_time() - started
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def calibrations(units: int) -> list[float]:
+    """``units`` calibration units in a row: one unit alone is a noisy
+    gauge, back to back they spread 0.2 of their median (quartile
+    distance)."""
+    return [calibration() for _ in range(units)]
 
 
 def at_reference_speed(seconds: float, calibration_s: float) -> float:
@@ -71,7 +89,7 @@ class Runner:
         #: The port of the gateway the program serves, while it serves.
         self.port: int | None = None
         self.spawned = time.perf_counter()
-        command = [sys.executable, os.path.join(HERE, "runner.py")]
+        command = [sys.executable, os.path.join(HERE, "runner.py"), "--cpu", str(PROGRAM_CPU)]
         if traced:
             command.append("--trace")
         self._log = open(os.path.join(workdir, f"program-{self.spawned:.6f}.log"), "w")

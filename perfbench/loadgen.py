@@ -2,7 +2,8 @@
 
 One process and one asyncio loop drive at most ``nproc`` connections.
 Requests are due on a Poisson schedule drawn from the seed, whatever
-the server's pace, and each picks a query from a fixed catalogue with a
+the server's pace, and each picks a query from a fixed catalogue: a
+kind with the request plan's shares, then a query of that kind with a
 Zipf-skewed popularity, so a measurable share of reads repeats.  The
 skew is an assumption, not a measurement: no query log of a scholarly
 ranking service is at hand to set its exponent from.  A
@@ -24,6 +25,7 @@ import math
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -50,21 +52,24 @@ def build_catalogue(
     paper_ids: Sequence[str],
     year_span: tuple[float, float],
     size: int,
-) -> list[dict[str, Any]]:
+) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """Up to ``size`` distinct queries, drawn with the request mix of
     ``repro loadgen`` unchanged (its request plan) and kept in the order
-    they first appear.  A small corpus has fewer distinct queries;
-    drawing stops after ``20 * size`` draws."""
+    they first appear, and how many of the plan's draws were of each
+    kind.  A small corpus has fewer distinct queries; drawing stops
+    after ``20 * size`` draws."""
     seen: set[str] = set()
     catalogue = []
+    draws: Counter[str] = Counter()
     for query in _request_plan(rng, methods, paper_ids, 20 * size, year_span):
+        draws[query["kind"]] += 1
         target = _target_of(query)
         if target not in seen:
             seen.add(target)
             catalogue.append(query)
             if len(catalogue) == size:
                 break
-    return catalogue
+    return catalogue, dict(draws)
 
 
 class Zipf:
@@ -79,14 +84,40 @@ class Zipf:
         return bisect.bisect_left(self.cumulative, x)
 
 
+class Popularity:
+    """Which catalogue query a read asks for.
+
+    A read first takes a kind with the shares of the plan's draws, then
+    a query of that kind by its Zipf rank (order of first appearance).
+    One Zipf ranking over every kind would let the few queries at its
+    head, which carry about half the reads, set each seed's mix of
+    kinds: over ten seeds, comparisons were 4-40% of the reads.
+    """
+
+    def __init__(self, catalogue: Sequence[dict[str, Any]], draws: dict[str, int],
+                 s: float) -> None:
+        self.members = {
+            kind: [i for i, query in enumerate(catalogue) if query["kind"] == kind]
+            for kind in sorted(draws)
+        }
+        self.kinds = [kind for kind, members in self.members.items() if members]
+        self.cumulative = list(itertools.accumulate(draws[kind] for kind in self.kinds))
+        self.zipf = {kind: Zipf(len(self.members[kind]), s) for kind in self.kinds}
+
+    def draw(self, rng: random.Random) -> int:
+        x = rng.random() * self.cumulative[-1]
+        kind = self.kinds[bisect.bisect_right(self.cumulative, x)]
+        return self.members[kind][self.zipf[kind].draw(rng)]
+
+
 def poisson_schedule(
-    rng: random.Random, rate: float, seconds: float, zipf: Zipf
+    rng: random.Random, rate: float, seconds: float, popularity: Popularity | Zipf
 ) -> list[tuple[float, int]]:
     """``(due offset, catalogue index)`` pairs for one leg."""
     schedule = []
     due = rng.expovariate(rate)
     while due < seconds:
-        schedule.append((due, zipf.draw(rng)))
+        schedule.append((due, popularity.draw(rng)))
         due += rng.expovariate(rate)
     return schedule
 
@@ -276,7 +307,7 @@ def climb_ladder(
     connections: int,
     targets: Sequence[str],
     rng: random.Random,
-    zipf: Zipf,
+    popularity: Popularity,
     rung_seconds: float,
     start_rate: float,
 ) -> tuple[Leg | None, list[Leg]]:
@@ -295,7 +326,7 @@ def climb_ladder(
     def attempt(k: int) -> Leg | None:
         for _ in range(2):
             rate = LADDER[k]
-            schedule = poisson_schedule(rng, rate, rung_seconds, zipf)
+            schedule = poisson_schedule(rng, rate, rung_seconds, popularity)
             leg = run_leg(port, connections, targets, schedule, rate, rung_seconds,
                           abort_backlog=connections + int(rate * SLO_SECONDS),
                           rid_prefix=f"r{len(rungs)}-")

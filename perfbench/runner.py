@@ -8,7 +8,9 @@ this process (:class:`repro.gateway.GatewayThread`) in the documented
 production posture: INFO JSON logs, metrics, 1-in-20 request traces,
 profiler off.
 
-Usage: ``python3 perfbench/runner.py [--trace]``.  With ``--trace``
+Usage: ``python3 perfbench/runner.py --cpu N [--trace]``.  The process
+runs on CPU ``N`` only (``harness.PROGRAM_CPU``), but for the parallel
+protocol.  With ``--trace``
 the layer functions are wrapped (see :mod:`tracing`) before the first
 command; recording is switched on and off by the ``trace`` command.
 
@@ -28,6 +30,9 @@ import threading
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ALL_CPUS = os.sched_getaffinity(0)
+# Pinned before numpy starts threads, so that every thread is pinned.
+os.sched_setaffinity(0, {int(sys.argv[sys.argv.index("--cpu") + 1])})
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
@@ -76,7 +81,6 @@ class Program:
         self.gateway = None
         self.ingestor = None
         self.replayer = None
-        self.watcher = None
         self.catchup: dict | None = None
         # The documented production posture, for every phase alike.
         configure_logging("INFO", json=True, stream=sys.stderr)
@@ -120,9 +124,15 @@ class Program:
                     net, metric=NDCG(50), test_ratios=ratios
                 )
             else:
-                series = repro.parallel.ExperimentEngine(jobs=jobs).compare_over_ratios(
-                    net, metric=NDCG(50), test_ratios=ratios
-                )
+                # The workers are forked from this thread and keep its CPUs.
+                pinned = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, ALL_CPUS)
+                try:
+                    series = repro.parallel.ExperimentEngine(jobs=jobs).compare_over_ratios(
+                        net, metric=NDCG(50), test_ratios=ratios
+                    )
+                finally:
+                    os.sched_setaffinity(0, pinned)
         return {"protocol_s": clock.wall, "protocol_cpu_s": clock.cpu,
                 "cells": gates.protocol_cells(series)}
 
@@ -172,29 +182,34 @@ class Program:
                 events, methods, bootstrap_size=bootstrap
             )
             self.ingestor.step()
-        first = self.ingestor.offset
-        started = time.perf_counter()
+        ingestor = self.ingestor
+        catchup = {"events": len(events) - ingestor.offset, "done": threading.Event()}
+        step = ingestor.step
+
+        def step_and_mark_the_end():
+            report = step()
+            if ingestor.exhausted:
+                # The catch-up ends when the step that took the log's
+                # last event returns.
+                catchup["finished"] = time.perf_counter()
+                catchup["done"].set()
+            return report
+
+        ingestor.step = step_and_mark_the_end
+        self.catchup = catchup
+        catchup["started"] = time.perf_counter()
         self.gateway = repro.gateway.GatewayThread(
-            self.ingestor.service,
+            ingestor.service,
             config=repro.gateway.GatewayConfig(port=0),
-            ingestor=self.ingestor,
+            ingestor=ingestor,
         ).start()
-        self.catchup = {"started": started, "events": len(events) - first}
-        self.watcher = threading.Thread(target=self._watch, daemon=True)
-        self.watcher.start()
         return {"port": self.gateway.port}
 
-    def _watch(self) -> None:
-        ingestor = self.ingestor
-        while not ingestor.exhausted:
-            time.sleep(0.002)
-        self.catchup["finished"] = time.perf_counter()
-
     def wait_ingest(self, timeout: float) -> dict:
-        self.watcher.join(timeout)
-        if self.watcher.is_alive():
+        catchup = self.catchup
+        if not catchup["done"].wait(timeout):
             return {"error": "catch-up did not finish in time"}
-        started, finished = self.catchup["started"], self.catchup["finished"]
+        started, finished = catchup["started"], catchup["finished"]
         if self.tracer.recording:
             # The catch-up is a step of the benchmark's: the updater's
             # batches and sleeps must cover it.
@@ -203,7 +218,7 @@ class Program:
             )
         return {
             "ingest_s": finished - started,
-            "events": self.catchup["events"],
+            "events": catchup["events"],
             "batches": self.gateway.server.updater.batches_applied,
         }
 
@@ -231,6 +246,7 @@ class Program:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cpu", type=int, required=True)
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args()
     program = Program(args.trace)

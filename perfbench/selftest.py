@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,14 +100,24 @@ def test_a_seed_change_changes_the_inputs(tmp_path):
         assert mine != theirs
 
 
-def test_a_seed_change_changes_the_read_schedule():
-    zipf = loadgen.Zipf(100, workloads.ZIPF_EXPONENT)
+def test_a_seed_change_changes_the_read_schedule(tmp_path):
+    catalogue, draws = workloads.Inputs(str(tmp_path), 1).catalogue("tiny")
+    popularity = loadgen.Popularity(catalogue, draws, workloads.ZIPF_EXPONENT)
 
     def schedule(seed):
-        return loadgen.poisson_schedule(__import__("random").Random(seed), 200, 1.0, zipf)
+        return loadgen.poisson_schedule(random.Random(seed), 200, 1.0, popularity)
 
     assert schedule(1) == schedule(1)
     assert schedule(1) != schedule(2)
+
+
+def test_reads_take_each_kind_with_the_plan_share(tmp_path):
+    catalogue, draws = workloads.Inputs(str(tmp_path), 3).catalogue("tiny")
+    popularity = loadgen.Popularity(catalogue, draws, workloads.ZIPF_EXPONENT)
+    rng = random.Random(4)
+    drawn = Counter(catalogue[popularity.draw(rng)]["kind"] for _ in range(20_000))
+    for kind, count in draws.items():
+        assert drawn[kind] / 20_000 == pytest.approx(count / sum(draws.values()), abs=0.015)
 
 
 # ----------------------------------------------------------------------

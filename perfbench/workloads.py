@@ -5,8 +5,9 @@ path the metrics name.  A workload is a corpus scale and a main phase;
 the other paths run as short probes on the ``medium`` corpus (the
 protocol on ``small`` networks).  Main phase and probes alternate in
 rounds, so each metric is sampled across the whole run (see
-:meth:`Probes.put` for how samples combine).  Every time is scaled to
-the reference machine's speed (``harness.calibration``).
+:meth:`Probes.put` for how samples combine).  Every time but the
+catch-up's is scaled to the reference machine's speed
+(``harness.calibration``).
 
 ===========  ==================================  ==========================
 workload     main phase (per round)              probes (per round)
@@ -44,7 +45,7 @@ import numpy as np
 import gates
 import loadgen
 import tracing
-from harness import (BenchError, Runner, at_reference_speed, calibration, first_ok,
+from harness import (BenchError, Runner, at_reference_speed, calibrations, first_ok,
                      http_get, median)
 from repro.gateway.loadgen import _ReplicaAtVersion, _target_of
 
@@ -54,7 +55,7 @@ METHODS = ["AR", "PR", "CC"]
 #: so that a slower moment of a shared machine does not saturate it.
 NOMINAL_RATE = 200
 CATALOGUE_SIZE = 1000
-#: Popularity skew of the catalogue.  An assumption, not a measurement:
+#: Popularity skew within each kind of query.  An assumption, not a measurement:
 #: no public query log of a scholarly ranking service is at hand to set
 #: it from.  It sets the repeat share of the reads and so the LRU's hit
 #: ratio, which ``read_cpu_ms`` depends on.
@@ -82,6 +83,9 @@ OPENS_PER_SAMPLE = {"medium": 5}
 #: Reads beside ingest: every read waits behind update batches, so the
 #: read path saturates far below ``NOMINAL_RATE``.
 INGEST_READ_RATE = 100
+#: Calibration units just before and just after each timed step; the
+#: step is scaled by their median (one unit is a noisy gauge).
+CALIBRATION_UNITS = 3
 #: Largest share of the traced steps' time that the layer spans may
 #: leave uncovered (``tracing.reconcile``).
 RECONCILE_TOLERANCE = 0.02
@@ -247,9 +251,10 @@ class Inputs:
         self.log(size)
         return self._objects[f"log-{size}"]
 
-    def catalogue(self, size: str) -> list[dict[str, Any]]:
+    def catalogue(self, size: str) -> tuple[list[dict[str, Any]], dict[str, int]]:
         """The read catalogue, over the papers in the first half of the
-        corpus's event log: every served version contains them."""
+        corpus's event log (every served version contains them), and the
+        plan's draws of each kind (``loadgen.build_catalogue``)."""
         from repro.stream.events import PaperEvent
 
         net = self.corpus(size)
@@ -356,12 +361,12 @@ class Probes:
         self.samples[name].append((value, self.run.recording))
 
     def call(self, op: str, **arguments: Any) -> dict:
-        """A program command, with the host's speed around it: the mean
-        time of the calibration unit just before and after, in this
+        """A program command, with the host's speed around it: the median
+        time of the calibration units just before and after, in this
         process (``calibration_s``)."""
-        before = calibration()
+        before = calibrations(CALIBRATION_UNITS)
         reply = self.runner.call(op, **arguments)
-        reply["calibration_s"] = (before + calibration()) / 2
+        reply["calibration_s"] = median(before + calibrations(CALIBRATION_UNITS))
         return reply
 
     def values(self, name: str, traced: bool = False) -> list[float]:
@@ -462,9 +467,9 @@ class Reads:
 
     def __init__(self, run: Run, size: str) -> None:
         self.run = run
-        self.catalogue = run.inputs.catalogue(size)
+        self.catalogue, draws = run.inputs.catalogue(size)
         self.targets = [_target_of(q) for q in self.catalogue]
-        self.zipf = loadgen.Zipf(len(self.catalogue), ZIPF_EXPONENT)
+        self.popularity = loadgen.Popularity(self.catalogue, draws, ZIPF_EXPONENT)
         self.connections = os.cpu_count() or 1
         #: Every leg sent, for the gate.
         self.legs: list[loadgen.Leg] = []
@@ -477,7 +482,7 @@ class Reads:
 
     def leg(self, port: int, seconds: float, rate: float = NOMINAL_RATE, *,
             stop: threading.Event | None = None, prefix: str = "n") -> loadgen.Leg:
-        schedule = loadgen.poisson_schedule(self.run.rng, rate, seconds, self.zipf)
+        schedule = loadgen.poisson_schedule(self.run.rng, rate, seconds, self.popularity)
         leg = loadgen.run_leg(port, self.connections, self.targets, schedule,
                               rate, seconds, stop=stop, rid_prefix=prefix)
         leg.traced = self.run.recording
@@ -491,11 +496,11 @@ class Reads:
 
     def nominal(self, runner: Runner, seconds: float) -> loadgen.Leg:
         """A measured leg at the nominal rate, with program CPU per read."""
-        before = calibration()
+        before = calibrations(CALIBRATION_UNITS)
         cpu = runner.cpu_seconds()
         leg = self.leg(runner.port, seconds, prefix=f"n{len(self.legs)}-")
         per_read = (runner.cpu_seconds() - cpu) / max(1, len(leg.ok))
-        speed = (before + calibration()) / 2
+        speed = median(before + calibrations(CALIBRATION_UNITS))
         self.cpu_ms.append((at_reference_speed(per_read, speed) * 1e3, leg.traced))
         self.measured.append(leg)
         return leg
@@ -512,7 +517,8 @@ class Reads:
     def ladder(self, port: int) -> None:
         """One climb of the rate ladder, untraced."""
         best, rungs = loadgen.climb_ladder(port, self.connections, self.targets,
-                                           self.run.rng, self.zipf, RUNG_SECONDS, LADDER_START)
+                                           self.run.rng, self.popularity, RUNG_SECONDS,
+                                           LADDER_START)
         self.legs.extend(rungs)
         if best is None:
             raise BenchError("no ladder rate met the latency objective")
@@ -538,6 +544,7 @@ class Reads:
               file=sys.stderr)
 
     def put_cpu(self) -> None:
+        print(f"samples read_cpu_ms: {json.dumps(self.cpu_ms)}", file=sys.stderr)
         self.run.result.put("read_cpu_ms", median(
             value for value, traced in self.cpu_ms if not traced), "ms")
 
@@ -649,7 +656,7 @@ def set_up(run: Run, start: Callable[[Runner], float]) -> Runner:
     with phase(f"set-up {len(run.setup_samples)}"):
         # Calibrated before the spawn only: once ready, ingest_live's
         # program is busy catching up.
-        speed = calibration()
+        speed = median(calibrations(CALIBRATION_UNITS))
         runner = Runner(run.workdir, traced=run.traced)
         run.setup_samples.append(at_reference_speed(start(runner) - runner.spawned, speed))
     return runner
@@ -723,15 +730,14 @@ def ingest_live(run: Run) -> None:
     with set_up(run, start) as runner:
         probes = Probes(run, runner)
         for round_ in rounds(run, runner, profile.ingest_rounds, start):
-            # Every round restarts the server, so the host's speed is
-            # calibrated while the program is idle, before and after.
+            # Every round restarts the server.  The catch-up's time is
+            # not scaled to the reference speed: it did not follow the
+            # calibration unit (see perfbench/README.md).
             runner.call("stop")
-            speed = calibration()
             ingest(run, runner)
             before = cache_counts(runner.port)
             catchup = catch_up(runner, reads, f"c{round_}-")
-            probes.sample("ingest_s", at_reference_speed(catchup["ingest_s"],
-                                                         (speed + calibration()) / 2))
+            probes.sample("ingest_s", catchup["ingest_s"])
             probes.sample("ingest_events", catchup["events"])
             if run.recording:
                 gateway_metrics(run, runner.port, before)
