@@ -63,25 +63,29 @@ class KatzCentrality(RankingMethod):
         return {"alpha": self.alpha}
 
     def scores(self, network: CitationNetwork) -> FloatVector:
+        return self._solve_column(network)
+
+    def fused_column(self, network: CitationNetwork):
+        """Katz as one fused-solver column: ``s <- alpha * C @ s + base``
+        with ``base = C @ 1`` (the citation counts), started from
+        ``base`` and unnormalised (cf. ECM)."""
         if network.n_papers == 0:
             raise ConfigurationError("cannot rank an empty network")
+        from repro.core.fused import FusedColumn
+
         matrix = network.citation_matrix
         base = np.asarray(matrix.sum(axis=1)).ravel()  # citation counts
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return base + self.alpha * (matrix @ vector)
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
+        return FusedColumn(
+            label=self.name,
+            matrix=matrix,
+            alpha=self.alpha,
+            jump=base,
             start=base,
             normalize=False,
+            tol=self.tol,
+            max_iterations=self.max_iterations,
             raise_on_failure=False,
         )
-        self.last_convergence = info
-        return result
 
 
 class HITSAuthority(RankingMethod):

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro._typing import FloatVector
-from repro.core.power_iteration import DEFAULT_TOLERANCE, power_iterate
+from repro.core.power_iteration import DEFAULT_TOLERANCE
 from repro.errors import ConfigurationError
 from repro.graph.citation_network import CitationNetwork
 from repro.graph.matrix import shared_operator
@@ -87,37 +87,20 @@ class CiteRank(RankingMethod):
         return raw / raw.sum()
 
     def scores(self, network: CitationNetwork) -> FloatVector:
-        if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
-        rho = self.entry_distribution(network)
-        transfer = shared_operator(network).sparse_part
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return rho + self.alpha * (transfer @ vector)
-
-        # The iteration is a contraction at rate alpha, so any start
-        # converges to the same traffic vector; a previous solution (set
-        # by the incremental-update path) beats the default rho start.
-        start = rho if self.start_vector is None else self.start_vector
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=start,
-            normalize=False,
-        )
-        self.last_convergence = info
-        return result
+        return self._solve_column(network)
 
     def fused_column(self, network: CitationNetwork):
-        """CiteRank as one column of a fused solve.
+        """CiteRank as one fused-solver column:
+        ``x <- alpha * W @ x + rho``, unnormalised.
 
         Dangling mass is *not* recycled (the original model), so the
         column iterates on the sparse part alone — no dangling mask.
+        The iteration is a contraction at rate alpha, so any start
+        converges to the same traffic vector; a previous solution (set
+        by the incremental-update path) beats the default rho start.
         """
         if network.n_papers == 0:
-            return None
+            raise ConfigurationError("cannot rank an empty network")
         from repro.core.fused import FusedColumn
 
         rho = self.entry_distribution(network)

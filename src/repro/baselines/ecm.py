@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from repro._typing import FloatVector
 from repro.baselines.ram import retained_edge_weights
-from repro.core.power_iteration import power_iterate
 from repro.errors import ConfigurationError
 from repro.graph.cache import memoize_on
 from repro.graph.citation_network import CitationNetwork
@@ -100,39 +99,20 @@ class EffectiveContagion(RankingMethod):
         )
 
     def scores(self, network: CitationNetwork) -> FloatVector:
-        if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
-        retained = self.retained_matrix(network)
-        ones = np.ones(network.n_papers, dtype=np.float64)
-        base = retained @ ones  # RAM scores = chains of length 1
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return base + self.alpha * (retained @ vector)
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=base,
-            normalize=False,
-            raise_on_failure=False,
-        )
-        self.last_convergence = info
-        return result
+        return self._solve_column(network)
 
     def fused_column(self, network: CitationNetwork):
-        """ECM as one column of a fused solve.
+        """ECM as one fused-solver column: ``s <- alpha * R @ s + base``
+        with ``base = R @ 1`` (the RAM scores, chains of length 1).
 
         Uses its own retained matrix rather than the shared stochastic
         operator; the fused solver groups columns by matrix, so ECM costs
         one extra SpMV per iteration but still shares the convergence
-        loop.  ``scores`` always starts from ``base`` (warm starts are
-        pointless for a finitely-terminating Katz series), so the column
-        does too.
+        loop.  The column always starts from ``base`` (warm starts are
+        pointless for a finitely-terminating Katz series).
         """
         if network.n_papers == 0:
-            return None
+            raise ConfigurationError("cannot rank an empty network")
         from repro.core.fused import FusedColumn
 
         retained = self.retained_matrix(network)

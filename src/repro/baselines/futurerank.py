@@ -30,7 +30,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro._typing import FloatVector
-from repro.core.power_iteration import DEFAULT_TOLERANCE, power_iterate
+from repro.core.power_iteration import DEFAULT_TOLERANCE
 from repro.core.recency import recency_vector
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.citation_network import CitationNetwork
@@ -120,55 +120,23 @@ class FutureRank(RankingMethod):
         return recency_vector(network, self.rho, now=self.now)
 
     def scores(self, network: CitationNetwork) -> FloatVector:
+        return self._solve_column(network)
+
+    def fused_column(self, network: CitationNetwork):
+        """FutureRank's update (module docstring) as one fused-solver
+        column.
+
+        The citation flow shares the stacked SpMV; the author
+        reinforcement and recency terms cannot be folded into a single
+        jump vector without changing float addition order, so they run
+        in a ``combine`` callback, term by term.
+        """
         if network.n_papers == 0:
             raise ConfigurationError("cannot rank an empty network")
         if self.beta > 0 and not network.has_authors:
             raise GraphError(
                 "FutureRank with beta > 0 requires author metadata"
             )
-        n = network.n_papers
-        operator = shared_operator(network)
-        time_vector = self.recency_weights(network)
-        uniform_mass = max(1.0 - self.alpha - self.beta - self.gamma, 0.0) / n
-
-        incidence = network.author_matrix if self.beta > 0 else None
-
-        def step(paper_scores: np.ndarray) -> np.ndarray:
-            updated = (
-                self.alpha * operator.apply(paper_scores)
-                + self.gamma * time_vector
-                + uniform_mass
-            )
-            if incidence is not None:
-                author_scores = _normalized(incidence @ paper_scores)
-                updated = updated + self.beta * _normalized(
-                    incidence.T @ author_scores
-                )
-            return updated
-
-        result, info = power_iterate(
-            step,
-            n,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            raise_on_failure=False,
-        )
-        self.last_convergence = info
-        return result
-
-    def fused_column(self, network: CitationNetwork):
-        """FutureRank as one column of a fused solve.
-
-        The citation flow shares the stacked SpMV; the author
-        reinforcement and recency terms cannot be folded into a single
-        jump vector without changing float addition order, so they run
-        in a ``combine`` callback that mirrors :meth:`scores`'s step
-        expression term by term.
-        """
-        if network.n_papers == 0 or (
-            self.beta > 0 and not network.has_authors
-        ):
-            return None
         from repro.core.fused import FusedColumn
 
         n = network.n_papers

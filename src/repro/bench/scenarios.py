@@ -379,6 +379,39 @@ def _bench_operator(config: BenchConfig) -> dict[str, Any]:
     }
 
 
+def decay_fit_bootstrap(log: Any) -> int:
+    """The first paper-group cut of ``log`` at which AttRank's decay fit
+    is defined (``len(log)`` if it never is).
+
+    AttRank fits its decay rate from citation ages, so a replay's
+    bootstrap snapshot must hold citations at two or more distinct
+    ages.  A longer prefix only adds ages, so the cuts are bisected.
+    """
+    from repro.core.recency import fit_decay_rate
+    from repro.errors import EvaluationError, GraphError
+    from repro.stream import EventLog
+    from repro.stream.events import group_boundaries
+    from repro.stream.ingest import network_from_log
+
+    cuts = group_boundaries(log.events)
+
+    def defined(cut: int) -> bool:
+        try:
+            fit_decay_rate(network_from_log(EventLog(log.events[:cut])))
+        except (EvaluationError, GraphError):
+            return False
+        return True
+
+    lo, hi = 0, len(cuts) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if defined(cuts[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cuts[lo]
+
+
 @scenario(
     "stream",
     "Event-log replay (micro-batched warm-start ingest + "
@@ -393,9 +426,7 @@ def _bench_stream(config: BenchConfig) -> dict[str, Any]:
     log = EventLog.from_network(network)
     methods = ("AR", "CC") if config.smoke else ("AR", "PR", "CC")
     batch_size = 32 if config.smoke else 64
-    # AttRank fits its decay rate from citation ages; the bootstrap
-    # must cover enough of the stream for that fit to be defined.
-    bootstrap = min(512, len(log))
+    bootstrap = decay_fit_bootstrap(log)
 
     def make_ingestor() -> StreamIngestor:
         return StreamIngestor(
@@ -867,14 +898,14 @@ def _bench_serve_batch(config: BenchConfig) -> dict[str, Any]:
 
 @scenario(
     "solver_fused",
-    "Fused multi-method solver vs per-method scalar solves",
+    "Fused multi-method solver vs per-method solves",
     default_repeats=7,
 )
 def _bench_solver_fused(config: BenchConfig) -> dict[str, Any]:
     """Fused-stack vs serial solves at several stack shapes.
 
     Each leg solves the same method set twice — once per method through
-    the scalar ``scores()`` path, once stacked through
+    its own ``scores()`` (a width-1 fused solve), once through
     :func:`repro.core.fused.solve_methods` — with the two timings
     interleaved round by round (robust against background-load drift;
     the reported wall time is the best round).  Score vectors from the
@@ -884,9 +915,10 @@ def _bench_solver_fused(config: BenchConfig) -> dict[str, Any]:
     Legs: tuning grids of 16 and 64 settings on one operator (where
     stacking pays — the headline ``speedup_vs_serial`` is the 64-wide
     grid), a heterogeneous 5-method serving panel (narrow operator
-    groups, which ``FUSE_MIN_COLUMNS`` routes to the scalar path — the
-    leg documents that the dispatch costs nothing), and a float32 leg
-    reporting rank agreement and relative error against float64.
+    groups, whose columns ``FUSE_MIN_COLUMNS`` leaves to be solved one
+    at a time — the leg documents that the dispatch costs nothing), and
+    a float32 leg reporting rank agreement and relative error against
+    float64.
 
     Smoke mode drops the 64-wide grids and runs 3 rounds.
     """

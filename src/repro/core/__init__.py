@@ -5,7 +5,9 @@
 * :func:`attention_vector` — Eq. 2 (recent-citation shares).
 * :func:`recency_vector` / :func:`fit_decay_rate` — Eq. 3 and the per-
   dataset fitting of ``w`` (Section 4.2).
-* :func:`power_iterate` — the shared fixed-point solver.
+* :func:`power_iterate` — the fixed-point loop for a bare step
+  callable (the linear methods solve through
+  :class:`repro.core.fused.FusedSolver` directly).
 """
 
 from repro.core.attention import attention_counts, attention_vector

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._typing import FloatVector
 from repro.core.attention import attention_vector
-from repro.core.power_iteration import DEFAULT_TOLERANCE, power_iterate
+from repro.core.power_iteration import DEFAULT_TOLERANCE
 from repro.core.recency import fit_decay_rate, recency_vector
 from repro.errors import ConfigurationError
 from repro.graph.citation_network import CitationNetwork
@@ -166,48 +166,37 @@ class AttRank(RankingMethod):
         closed form (``AR = beta*A + gamma*T``), which the paper notes
         requires "a single iteration".
         """
+        if self.alpha != 0.0:
+            return self._solve_column(network)
         if network.n_papers == 0:
             raise ConfigurationError("cannot rank an empty network")
+        self.last_convergence = None
+        return self._jump(network)
+
+    def _jump(self, network: CitationNetwork) -> FloatVector:
+        """The jump term ``beta*A + gamma*T`` of Equation 4."""
         attention, recency = self.jump_vectors(network)
-        jump = self.beta * attention + self.gamma * recency
-
-        if self.alpha == 0.0:
-            self.last_convergence = None
-            return jump
-
-        operator = shared_operator(network)
-
-        def step(vector: FloatVector) -> FloatVector:
-            return self.alpha * operator.apply(vector) + jump
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=self.start_vector,
-        )
-        self.last_convergence = info
-        return result
+        return self.beta * attention + self.gamma * recency
 
     def fused_column(self, network: CitationNetwork):
-        """AttRank as one column of a fused solve (see Equation 4).
+        """Equation 4 as one fused-solver column:
+        ``AR <- alpha * S @ AR + (beta*A + gamma*T)``, renormalised.
 
         The ``alpha = 0`` closed form needs no iteration and is left to
         :meth:`scores` (fused stacking would only waste a column).
         """
-        if self.alpha == 0.0 or network.n_papers == 0:
+        if network.n_papers == 0:
+            raise ConfigurationError("cannot rank an empty network")
+        if self.alpha == 0.0:
             return None
         from repro.core.fused import FusedColumn
 
-        attention, recency = self.jump_vectors(network)
-        jump = self.beta * attention + self.gamma * recency
         operator = shared_operator(network)
         return FusedColumn(
             label=self.name,
             matrix=operator.sparse_part,
             alpha=self.alpha,
-            jump=jump,
+            jump=self._jump(network),
             dangling=(
                 operator.dangling_mask if operator.n_dangling else None
             ),

@@ -1,20 +1,22 @@
-"""The fused multi-method solver — one SpMV pass per iteration, shared.
+"""The fused solver — every linear power iteration, one spec each.
 
-Every iterative method in this library (AttRank, PageRank, CiteRank,
-FutureRank, ECM) power-iterates a fixed-point map of the shape
+Every linear iterative method in this library (AttRank, PageRank,
+CiteRank, FutureRank, ECM, Katz) power-iterates a fixed-point map of the
+shape
 
     x  <-  alpha * (M @ x  [+ dangling correction])  +  jump
 
-over the *same* citation operator (ECM over its own retained matrix).
-Solving them one at a time walks the sparse matrix once per method per
-iteration; this module stacks the methods' iterates and advances all of
-them with a **single sparse multiply per distinct operator per
-iteration**:
+over the *same* citation operator (ECM over its own retained matrix,
+Katz over the raw citation matrix).  Each method states that map once,
+as a :class:`FusedColumn` from its ``fused_column()``; its ``scores()``
+solves the column alone (a width-1 solve), and :func:`solve_methods`
+stacks many columns and advances all of them with a **single sparse
+multiply per distinct operator per iteration**:
 
     Y = M @ X                                   (one SpMV, m columns)
     U = diag(alpha) applied per column:  U[:, j] = alpha_j * Y[:, j] + J[:, j]
 
-followed by the per-column hygiene the scalar loop performs (dangling
+followed by per-column hygiene (dangling
 correction, L1 renormalisation, residual tracking).  Columns carry their
 own tolerance, iteration budget and convergence mask: a column whose L1
 residual drops below its tolerance is *dropped from the stack* and the
@@ -36,18 +38,24 @@ stacks are solved in column batches sized to
 (batching is pure scheduling — per-column arithmetic is unchanged), and
 :func:`solve_methods` only stacks operator groups of at least
 :data:`FUSE_MIN_COLUMNS` columns, the measured crossover where SpMV
-sharing starts to beat the scalar loop's leaner per-iteration traffic.
+sharing starts to beat width-1 solves.  A width-1 stack skips the
+operand gather: its lone row is the SpMV operand, multiplied with
+scipy's single-vector kernel (what ``M @ x`` runs) into a preallocated
+buffer.
 
 Bit-identity contract
 ---------------------
-The float64 fused path is **bit-identical** to the per-method
-:func:`~repro.core.power_iteration.power_iterate` loop, for any subset
-of methods, any drop order and any ``jobs`` value.  This is not a
+A float64 column solves to the **same bits** alone or inside any stack,
+for any subset of methods, any drop order and any ``jobs`` value — and
+to the bits of the same update written as a plain per-method step loop
+(the tests keep such hand-written references).  This is not a
 tolerance claim — the golden fixtures and hypothesis properties assert
 ``np.array_equal``.  It holds because every fused operation is
-elementwise equal to its scalar counterpart:
+elementwise equal to its one-vector counterpart:
 
-* ``M @ X`` computes each output column exactly as ``M @ X[:, j]``;
+* ``M @ X`` computes each output column exactly as ``M @ X[:, j]``
+  (the multi-vector and single-vector kernels accumulate each row in
+  the same order);
 * column reductions (``X[:, j].sum()``) use numpy's pairwise summation,
   whose reduction tree depends only on the element *count*, not the
   stride — a strided column sums bit-identically to a contiguous copy;
@@ -81,6 +89,7 @@ docs/SOLVER.md.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -89,14 +98,15 @@ import numpy as np
 import scipy.sparse as sp
 
 try:  # pragma: no cover - import guard exercised by environment
-    # The same C kernel scipy's ``csr @ dense`` dispatch lands on, but
-    # callable with a *preallocated* output (it accumulates into y).
-    # Calling it directly skips a fresh megabyte-scale result
-    # allocation per iteration; values are identical because scipy's
-    # own path is exactly zeros() + this kernel.
+    # The same C kernels scipy's ``csr @ vector`` and ``csr @ dense``
+    # dispatches land on, but callable with a *preallocated* output
+    # (they accumulate into y).  Calling them directly skips a fresh
+    # megabyte-scale result allocation per iteration; values are
+    # identical because scipy's own path is exactly zeros() + kernel.
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 except ImportError:  # pragma: no cover
-    _csr_matvecs = None
+    _csr_matvec = _csr_matvecs = None
 
 from repro._typing import FloatVector
 from repro.errors import ConfigurationError, ConvergenceError
@@ -134,9 +144,9 @@ MIN_STACK_WIDTH = 16
 #: :func:`solve_methods` stacks them.  Below this the stacked loop's
 #: extra full-stack passes (operand gather, transposed write-back,
 #: broadcast affine) cost more than the SpMV sharing recoups — the
-#: measured crossover sits near 8 columns — so narrower groups take
-#: their methods' scalar ``scores()`` path instead.  Results are
-#: bit-identical either way; only wall-clock changes.
+#: measured crossover sits near 8 columns — so the columns of narrower
+#: groups are solved one at a time.  Results are bit-identical either
+#: way; only wall-clock changes.
 FUSE_MIN_COLUMNS = 8
 
 
@@ -167,7 +177,7 @@ class FusedColumn:
 
     A column is either *linear* — ``matrix`` is set, and one iteration
     computes ``alpha * (matrix @ x + dangling correction) + jump`` — or
-    a bare ``step`` callable (the degenerate form
+    a bare ``step`` callable (the non-linear form
     :func:`~repro.core.power_iteration.power_iterate` delegates
     through).  Linear columns with a ``combine`` callback override the
     affine update while still sharing the stacked SpMV (FutureRank's
@@ -194,8 +204,7 @@ class FusedColumn:
     combine:
         Optional ``(y, x) -> u`` callback replacing the affine update:
         ``y`` is the (dangling-corrected) SpMV result, ``x`` the current
-        iterate, both 1-D contiguous.  Must mirror the method's scalar
-        step bit-for-bit.
+        iterate, both 1-D contiguous.
     step:
         Bare fixed-point map for non-linear columns; mutually exclusive
         with ``matrix``.
@@ -297,7 +306,8 @@ class FusedSolver:
     Parameters
     ----------
     columns:
-        The column specs, one per method.
+        The column specs, one per method.  Bare-step columns stack only
+        with each other.
     n:
         Vector length (every start/jump vector must have this length).
     jobs:
@@ -306,14 +316,9 @@ class FusedSolver:
         ``jobs`` contiguous ranges computed concurrently.  The result
         is bit-identical for any value.
     dtype:
-        ``np.float64`` (default, bit-identical to the scalar loop) or
+        ``np.float64`` (default) or
         ``np.float32`` (opt-in, tolerances floored at
         :data:`FLOAT32_TOLERANCE`).
-    emit_metrics:
-        Record the ``repro_fused_*`` instruments.  The degenerate
-        single-column delegation from
-        :func:`~repro.core.power_iteration.power_iterate` passes
-        ``False`` so per-method serving metrics stay meaningful.
     """
 
     def __init__(
@@ -323,7 +328,6 @@ class FusedSolver:
         *,
         jobs: int = 1,
         dtype: Any = np.float64,
-        emit_metrics: bool = True,
     ) -> None:
         if n <= 0:
             raise ConfigurationError(
@@ -336,17 +340,20 @@ class FusedSolver:
             raise ConfigurationError(
                 f"dtype must be float64 or float32, got {self._dtype}"
             )
-        if self._dtype == np.dtype(np.float32):
-            for column in columns:
-                if column.step is not None:
-                    raise ConfigurationError(
-                        "float32 mode requires linear columns; column "
-                        f"{column.label!r} uses a bare step callable"
-                    )
+        steps = [c.label for c in columns if c.step is not None]
+        if steps and self._dtype == np.dtype(np.float32):
+            raise ConfigurationError(
+                "float32 mode requires linear columns; column "
+                f"{steps[0]!r} uses a bare step callable"
+            )
+        if 0 < len(steps) < len(columns):
+            raise ConfigurationError(
+                "bare-step columns cannot share a stack with linear "
+                f"columns (step columns: {steps})"
+            )
         self._columns = list(columns)
         self._n = int(n)
         self._jobs = int(jobs)
-        self._emit_metrics = emit_metrics
 
     # ------------------------------------------------------------------
     def _prepared_start(self, column: FusedColumn) -> np.ndarray:
@@ -399,7 +406,7 @@ class FusedSolver:
 
         Returns one ``(vector, info)`` pair per input column, exactly
         what :func:`~repro.core.power_iteration.power_iterate` returns
-        per method.
+        for one.
 
         Raises
         ------
@@ -479,7 +486,7 @@ class FusedSolver:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-        if self._emit_metrics and len(self._columns) > 1:
+        if len(self._columns) > 1:
             for count in active_counts:
                 _FUSED_ACTIVE_COLUMNS.observe(count)
         return results  # type: ignore[return-value]
@@ -503,6 +510,20 @@ class FusedSolver:
             matrix = prepared[matrix_key]
             if out is not None and _csr_matvecs is not None:
                 out.fill(0.0)
+                if block.shape[1] == 1:
+                    # One column: the single-vector kernel, which is
+                    # what ``matrix @ vector`` runs — the multi-vector
+                    # kernel's per-row loop overhead dominates at m=1.
+                    _csr_matvec(
+                        matrix.shape[0],
+                        matrix.shape[1],
+                        matrix.indptr,
+                        matrix.indices,
+                        matrix.data,
+                        block.ravel(),
+                        out.ravel(),
+                    )
+                    return out
                 _csr_matvecs(
                     matrix.shape[0],
                     matrix.shape[1],
@@ -622,13 +643,17 @@ class FusedSolver:
             Y: np.ndarray | None = None
             for matrix_key, positions, covers_all in plan.groups:
                 if covers_all:
-                    np.copyto(op_buf, XT.T)
+                    if k == 1:
+                        operand = XT[0][:, None]
+                    else:
+                        np.copyto(op_buf, XT.T)
+                        operand = op_buf
                     Y = self._spmv(
                         matrix_key,
                         prepared,
                         chunked,
                         pool,
-                        op_buf,
+                        operand,
                         out=y_buf,
                     )
                     break
@@ -657,8 +682,8 @@ class FusedSolver:
                     rows = XT if len(positions) == k else XT[positions]
                     # rows[:, mask] comes back F-ordered (advanced
                     # indexing on the trailing axis); the C copy makes
-                    # axis-1 sums reduce each row exactly like the
-                    # scalar path's 1-D masked sums.
+                    # axis-1 sums reduce each row exactly like a
+                    # width-1 solve's 1-D masked sums.
                     gathered = np.ascontiguousarray(rows[:, mask])
                     corrections[positions] = gathered.sum(axis=1) / n
                 if plan.dangling_all:
@@ -691,25 +716,12 @@ class FusedSolver:
                         applied, XT[position]
                     )
             else:
-                # Bare-step columns (the power_iterate delegation) have
-                # no SpMV result to broadcast over; update per column.
-                # op_buf's contents (this iteration's SpMV operand) are
-                # dead once Y holds the product, so it hosts U.
+                # A bare-step stack (power_iterate's delegation) has no
+                # SpMV result to broadcast over; each step map writes
+                # its column of U, hosted by the unused op_buf.
                 U = op_buf
                 for position, state in enumerate(states):
-                    column = state.column
-                    if column.step is not None:
-                        U[:, position] = column.step(XT[position])
-                    elif column.combine is not None:
-                        U[:, position] = column.combine(
-                            np.ascontiguousarray(Y[:, position]),  # type: ignore[index]
-                            XT[position],
-                        )
-                    else:
-                        U[:, position] = (
-                            column.alpha * Y[:, position]  # type: ignore[index]
-                            + J[:, position]
-                        )
+                    U[:, position] = state.column.step(XT[position])
             # The updated stack, transposed back into the spare row
             # buffer (an explicit strided copy — never a view, unlike
             # ascontiguousarray on a (n, 1) stack).  From here on only
@@ -735,8 +747,8 @@ class FusedSolver:
 
             # --- residuals.  XT's bits are dead after this point (the
             # next iterate is UT), so it doubles as the |U - X| scratch
-            # buffer; row sums then keep the pairwise reduction of the
-            # scalar path.
+            # buffer; row sums then keep the pairwise reduction of a
+            # 1-D ``.sum()``.
             np.subtract(UT, XT, out=XT)
             np.abs(XT, out=XT)
             residuals = XT.sum(axis=1).tolist()
@@ -823,10 +835,10 @@ def solve_methods(
 
     Methods that expose a fused column
     (:meth:`~repro.ranking.RankingMethod.fused_column` returns a spec)
-    are stacked and solved together; the rest fall back to their own
+    are solved from that column; the rest fall back to their own
     ``scores()`` — closed forms (CC, RAM, ATT-ONLY) and structurally
-    unfusable iterations (WSDM's bipartite multi-matrix loop).  Each
-    method's ``last_convergence`` is populated exactly as a direct
+    unfusable iterations (WSDM's bipartite multi-matrix loop, HITS).
+    Each method's ``last_convergence`` is populated exactly as a direct
     ``scores()`` call would.
 
     Returns ``(scores, info)`` per method, in input order; ``info`` is
@@ -838,46 +850,46 @@ def solve_methods(
     results: list[tuple[FloatVector, ConvergenceInfo | None] | None] = [
         None
     ] * len(methods)
-    columns: list[FusedColumn] = []
-    positions: list[int] = []
+    fusable: list[tuple[int, FusedColumn]] = []
     for position, method in enumerate(methods):
         column = method.fused_column(network)
         if column is not None:
-            columns.append(column)
-            positions.append(position)
+            fusable.append((position, column))
     # Stacking only pays once enough columns share an operator (see
-    # FUSE_MIN_COLUMNS); narrower groups fall through to the scalar
-    # loop below with bit-identical results.  Explicit float32 or
-    # threaded requests always stack — the scalar fallback cannot
-    # honour them.
-    if columns and jobs == 1 and np.dtype(dtype) == np.float64:
-        group_sizes: dict[int, int] = {}
-        for column in columns:
-            key = id(column.matrix)
-            group_sizes[key] = group_sizes.get(key, 0) + 1
-        kept = [
-            (column, position)
-            for column, position in zip(columns, positions)
-            if group_sizes[id(column.matrix)] >= FUSE_MIN_COLUMNS
+    # FUSE_MIN_COLUMNS); the columns of narrower groups are solved one
+    # at a time, with bit-identical results.  Explicit float32 or
+    # threaded requests always stack everything.
+    passes: list[list[tuple[int, FusedColumn]]] = [fusable]
+    if jobs == 1 and np.dtype(dtype) == np.float64:
+        group_sizes = Counter(id(column.matrix) for _, column in fusable)
+        wide = [
+            entry
+            for entry in fusable
+            if group_sizes[id(entry[1].matrix)] >= FUSE_MIN_COLUMNS
         ]
-        columns = [column for column, _ in kept]
-        positions = [position for _, position in kept]
-    if columns:
+        passes = [wide] + [
+            [entry]
+            for entry in fusable
+            if group_sizes[id(entry[1].matrix)] < FUSE_MIN_COLUMNS
+        ]
+    for entries in passes:
+        if not entries:
+            continue
         started = _time.perf_counter()
         solver = FusedSolver(
-            columns, network.n_papers, jobs=jobs, dtype=dtype
+            [column for _, column in entries],
+            network.n_papers,
+            jobs=jobs,
+            dtype=dtype,
         )
         try:
             solved = solver.solve()
         except ConvergenceError:
             _FUSED_PASSES.inc(outcome="error")
             raise
-        elapsed = _time.perf_counter() - started
         _FUSED_PASSES.inc(outcome="ok")
-        _FUSED_PASS_SECONDS.observe(elapsed)
-        for position, column, (vector, info) in zip(
-            positions, columns, solved
-        ):
+        _FUSED_PASS_SECONDS.observe(_time.perf_counter() - started)
+        for (position, column), (vector, info) in zip(entries, solved):
             _FUSED_COLUMN_ITERATIONS.inc(
                 info.iterations, method=column.label
             )

@@ -1,18 +1,17 @@
-"""Generic power-method solver with convergence diagnostics.
+"""Power-method helpers: start vectors and the bare-step loop.
 
-Every iterative method in this library (AttRank, PageRank, CiteRank,
-FutureRank, ECM) is a fixed-point iteration ``x <- F(x)`` on a probability
-vector.  This module centralises the loop semantics: start vector
-handling, L1 residual tracking, tolerance/budget control, and the strict
-convergence check that the paper's experiments use (epsilon <= 1e-12,
-Section 4.3).
+Every iterative method in this library is a fixed-point iteration
+``x <- F(x)``.  The loop semantics — start vector handling, L1 residual
+tracking, tolerance/budget control, and the strict convergence check
+the paper's experiments use (epsilon <= 1e-12, Section 4.3) — live in
+:class:`repro.core.fused.FusedSolver`.  The linear methods (AttRank,
+PageRank, CiteRank, FutureRank, ECM, Katz) state their update once, as
+a :class:`~repro.core.fused.FusedColumn`, and solve it there directly.
 
-Since the fused-solver rework, the loop itself lives in
-:class:`repro.core.fused.FusedSolver`; :func:`power_iterate` is the
-degenerate one-column form.  Delegating (rather than keeping two loops)
-makes "a single column behaves exactly like the legacy solver" a
-structural property instead of a test-only promise — every scalar solve
-in the suite exercises the same code the stacked multi-method path runs.
+:func:`power_iterate` is the solver's degenerate one-column form for a
+bare ``step`` callable: the non-linear HITS iteration uses it, and the
+tests use it to write independent reference solves.  This module also
+holds the start-vector helpers of the warm-start path.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro._typing import FloatVector
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.ranking import ConvergenceInfo
 
 __all__ = [
@@ -152,7 +151,7 @@ def power_iterate(
         against floating-point drift.  Stochastic steps preserve total
         mass exactly in theory; the renormalisation is numerical hygiene.
     raise_on_failure:
-        Raise :class:`ConvergenceError` if the budget is exhausted
+        Raise :class:`~repro.errors.ConvergenceError` if the budget is exhausted
         (default).  With ``False``, return the last iterate with
         ``converged=False`` — needed for FutureRank, which the paper
         notes "did not, in practice, converge under all possible
@@ -175,6 +174,6 @@ def power_iterate(
         max_iterations=max_iterations,
         raise_on_failure=raise_on_failure,
     )
-    solver = FusedSolver([column], n, emit_metrics=False)
+    solver = FusedSolver([column], n)
     ((vector, info),) = solver.solve()
     return vector, info

@@ -287,7 +287,8 @@ class GatewayServer:
         self._server: asyncio.AbstractServer | None = None
         self._control_server: asyncio.AbstractServer | None = None
         self._updater_task: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        # Open keep-alive connections and the handler task serving each.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -349,7 +350,8 @@ class GatewayServer:
         connections, (3) stop the updater after its in-flight batch,
         (4) wait out in-flight requests (bounded by
         ``drain_seconds``), (5) drain the coalescer, (6) close the
-        remaining keep-alive connections.
+        remaining keep-alive connections and await their handlers, so
+        no handler is left for loop teardown to cancel.
         """
         self.admission.start_draining()
         if self._server is not None:
@@ -384,8 +386,11 @@ class GatewayServer:
         self.tsdb.stop()
         if self.profiler is not None:
             self.profiler.stop()
+        handlers = tuple(self._connections.values())
         for writer in tuple(self._connections):
             writer.close()
+        # A closed transport hands each idle handler EOF, so it returns.
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._server = None
 
     # ------------------------------------------------------------------
@@ -396,7 +401,9 @@ class GatewayServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self._connections.add(writer)
+        handler = asyncio.current_task()
+        assert handler is not None  # start_server runs handlers as tasks
+        self._connections[writer] = handler
         # One id per connection, one sequence number per request on it:
         # the id exists *before* parsing, so even a 400 on a malformed
         # request correlates with a log line and an X-Request-Id.
@@ -435,7 +442,7 @@ class GatewayServer:
         ):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -4,8 +4,8 @@ A *trace* is one tree of :class:`Span` objects — the gateway starts one
 per request (``gateway.request``) and one per applied stream
 micro-batch (``stream.update``); the layers below add children with
 the :func:`span` context manager (``gateway.coalesce`` →
-``engine.batch`` → ``engine.execute`` → ``engine.shard`` →
-``solver.solve``).  Finished traces land in a bounded ring buffer
+``engine.batch`` → ``engine.execute`` → ``engine.shard`` on reads,
+``delta.refresh`` → ``solver.solve_fused`` on updates).  Finished traces land in a bounded ring buffer
 (:class:`TraceCollector`) that ``/v1/trace`` serves as JSON and
 ``repro trace`` converts to Chrome trace-event format
 (``chrome://tracing`` / Perfetto loads the dump directly).

@@ -92,16 +92,30 @@ class RankingMethod(ABC):
         """The method's column spec for the fused multi-method solver.
 
         Iterative methods whose update is an affine map over a sparse
-        operator return a :class:`~repro.core.fused.FusedColumn` so
-        :func:`~repro.core.fused.solve_methods` can stack them into one
-        SpMV pass per iteration.  The default ``None`` means "not
-        fusable" — closed forms (citation count, RAM, ATT-ONLY) and
-        structurally different iterations (WSDM) fall back to
-        :meth:`scores`.  A returned column must reproduce ``scores()``
-        **bit-for-bit** in float64; the golden fixtures and hypothesis
-        properties enforce this.
+        operator return a :class:`~repro.core.fused.FusedColumn`: the
+        one place their update is stated.  Their :meth:`scores` solves
+        that column alone (:meth:`_solve_column`), and
+        :func:`~repro.core.fused.solve_methods` stacks many of them
+        into one SpMV pass per iteration.  The default ``None`` means
+        "not fusable" — closed forms (citation count, RAM, ATT-ONLY)
+        and structurally different iterations (WSDM, HITS) fall back to
+        :meth:`scores`.  A column raises the typed errors its method's
+        :meth:`scores` documents (an empty network, missing metadata).
         """
         return None
+
+    def _solve_column(self, network: CitationNetwork) -> FloatVector:
+        """Solve :meth:`fused_column` as a width-1 fused solve.
+
+        Records :attr:`last_convergence`; the scores are bit-identical
+        to the same column solved inside any wider stack.
+        """
+        from repro.core.fused import FusedSolver
+
+        column = self.fused_column(network)
+        ((vector, info),) = FusedSolver([column], network.n_papers).solve()
+        self.last_convergence = info
+        return vector
 
     def params(self) -> Mapping[str, Any]:
         """The method's configuration, for experiment reports."""

@@ -56,11 +56,6 @@ _SOLVES_TOTAL = REGISTRY.counter(
     "Method solves, by method label and convergence outcome.",
     ["method", "converged"],
 )
-_SOLVE_SECONDS = REGISTRY.histogram(
-    "repro_solver_solve_seconds",
-    "Wall-clock seconds per method solve.",
-    ["method"],
-)
 _LAST_ITERATIONS = REGISTRY.gauge(
     "repro_solver_last_iterations",
     "Iterations of the most recent solve, by method.",
@@ -221,7 +216,6 @@ class ScoreIndex:
         network: CitationNetwork | None = None,
         *,
         warm: bool = True,
-        fused: bool = True,
     ) -> dict[str, MethodEntry]:
         """Re-solve every indexed method and bump the version.
 
@@ -237,12 +231,6 @@ class ScoreIndex:
             Seed each method that supports it from its previous
             solution, grown to the new size.  ``False`` forces cold
             solves (the benchmark's comparison baseline).
-        fused:
-            Solve all fusable methods in one stacked pass
-            (:func:`repro.core.fused.solve_methods`) instead of one at a
-            time.  The scores are bit-identical either way; ``False``
-            keeps the serial per-method loop as the benchmark's
-            comparison baseline.
 
         Notes
         -----
@@ -262,27 +250,13 @@ class ScoreIndex:
                     f"{self._network.n_papers}); the index only grows"
                 )
             target = network
-        if fused:
-            refreshed = self._solve_fused(
-                {
-                    key: (
-                        dict(entry.params),
-                        entry.scores if warm else None,
-                    )
-                    for key, entry in self._entries.items()
-                },
-                target,
-            )
-        else:
-            refreshed = {
-                key: self._solve(
-                    key,
-                    dict(entry.params),
-                    previous=entry.scores if warm else None,
-                    network=target,
-                )
+        refreshed = self._solve_fused(
+            {
+                key: (dict(entry.params), entry.scores if warm else None)
                 for key, entry in self._entries.items()
-            }
+            },
+            target,
+        )
         chaos_point("index.refresh.swap")
         self._network = target
         self._entries = refreshed
@@ -294,13 +268,12 @@ class ScoreIndex:
         specs: Mapping[str, tuple[dict[str, Any], FloatVector | None]],
         network: CitationNetwork,
     ) -> dict[str, MethodEntry]:
-        """Solve ``{key: (params, previous)}`` in one fused pass.
+        """Solve ``{key: (params, previous)}`` through
+        :func:`repro.core.fused.solve_methods`.
 
-        The per-method instruments (``repro_solver_solves_total``,
-        ``repro_solver_last_*``) fire exactly as the serial path's do;
-        ``repro_solver_solve_seconds`` does not — wall-clock is shared
-        across the stack, so the fused pass reports its own
-        ``repro_fused_pass_seconds`` instead.
+        Records the per-method instruments (``repro_solver_solves_total``,
+        ``repro_solver_last_*``); wall-clock is reported per solver pass
+        as ``repro_fused_pass_seconds``.
         """
         from repro.core.fused import solve_methods
 
@@ -363,65 +336,6 @@ class ScoreIndex:
             },
         )
         return entries
-
-    def _solve(
-        self,
-        key: str,
-        params: dict[str, Any],
-        *,
-        previous: FloatVector | None,
-        network: CitationNetwork | None = None,
-    ) -> MethodEntry:
-        if network is None:
-            network = self._network
-        method = make_method(key, **params)
-        warm = previous is not None and warm_startable(key)
-        if warm:
-            method.start_vector = grow_start_vector(
-                previous, network.n_papers
-            )
-        started = time.perf_counter()
-        with span("solver.solve", method=key, warm=warm) as sp:
-            scores = method.scores(network)
-            info = method.last_convergence
-            if sp is not None and info is not None:
-                sp.set(
-                    iterations=info.iterations,
-                    converged=info.converged,
-                )
-        elapsed = time.perf_counter() - started
-        # Shared arrays are read-only throughout this codebase (see
-        # CitationNetwork); the score vector doubles as the next warm
-        # start and the ranking basis, so caller mutation must fail loud.
-        scores.setflags(write=False)
-        iterations = info.iterations if info is not None else 0
-        converged = info.converged if info is not None else True
-        _SOLVES_TOTAL.inc(
-            method=key, converged="true" if converged else "false"
-        )
-        _SOLVE_SECONDS.observe(elapsed, method=key)
-        _LAST_ITERATIONS.set(iterations, method=key)
-        if info is not None:
-            _LAST_RESIDUAL.set(info.residual, method=key)
-        _LOG.info(
-            "solve",
-            extra={
-                "method": key,
-                "papers": network.n_papers,
-                "iterations": iterations,
-                "converged": converged,
-                "warm": warm,
-                "ms": round(elapsed * 1e3, 3),
-            },
-        )
-        return MethodEntry(
-            label=key,
-            params=params,
-            scores=scores,
-            iterations=iterations,
-            converged=converged,
-            warm_started=warm,
-        )
 
     # ------------------------------------------------------------------
     # Persistence

@@ -144,3 +144,52 @@ class TestCheapScenarios:
         # Warm starts must never need more iterations than cold solves.
         for label, warm_iterations in payload["warm"]["iterations"].items():
             assert warm_iterations <= payload["cold"]["iterations"][label]
+
+
+class TestStreamBootstrap:
+    """The stream scenario's bootstrap at ``small``, where a fixed
+    512-event prefix holds citations at a single age and AttRank's
+    decay fit is undefined."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        from repro.stream import EventLog
+        from repro.synth.profiles import generate_dataset
+
+        network = generate_dataset("hep-th", size="small", seed=7)
+        return EventLog.from_network(network)
+
+    @staticmethod
+    def _fit(log, cut):
+        from repro.core.recency import fit_decay_rate
+        from repro.stream import EventLog
+        from repro.stream.ingest import network_from_log
+
+        return fit_decay_rate(network_from_log(EventLog(log.events[:cut])))
+
+    def test_bootstrap_is_the_first_cut_with_a_decay_fit(self, log):
+        from repro.bench.scenarios import decay_fit_bootstrap
+        from repro.errors import EvaluationError
+        from repro.stream.events import group_boundaries
+
+        cuts = group_boundaries(log.events)
+        bootstrap = decay_fit_bootstrap(log)
+        assert bootstrap in cuts
+        assert self._fit(log, bootstrap).decay_rate < 0
+        with pytest.raises(EvaluationError, match="decay rate"):
+            self._fit(log, cuts[cuts.index(bootstrap) - 1])
+        old_fixed_bootstrap = next(cut for cut in cuts if cut >= 512)
+        with pytest.raises(EvaluationError, match="decay rate"):
+            self._fit(log, old_fixed_bootstrap)
+
+    def test_replay_starts_from_that_bootstrap(self, log):
+        from repro.bench.scenarios import decay_fit_bootstrap
+        from repro.stream import StreamIngestor
+
+        bootstrap = decay_fit_bootstrap(log)
+        ingestor = StreamIngestor(
+            log, ("AR", "CC"), batch_size=32, bootstrap_size=bootstrap
+        )
+        first = ingestor.step()
+        assert first.bootstrap and first.offset_end == bootstrap
+        assert ingestor.step().version == 1

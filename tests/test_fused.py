@@ -3,13 +3,18 @@
 The headline property — asserted with ``np.array_equal``, never a
 tolerance — is that stacking any subset of methods into one
 :class:`~repro.core.fused.FusedSolver` pass returns exactly the bits
-the per-method scalar solves produce, for any drop order of the
-convergence masks and any ``jobs`` value.  docs/SOLVER.md derives why.
+of each method's update written out by hand as a step map and solved
+with :func:`~repro.core.power_iteration.power_iterate`, for any drop
+order of the convergence masks and any ``jobs`` value.  The step maps
+below are a second, independent statement of each update; the methods
+state theirs only in ``fused_column()``.  docs/SOLVER.md derives why
+the bits agree.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,9 +30,10 @@ from repro.core.fused import (
     FusedSolver,
     solve_methods,
 )
-from repro.core.power_iteration import power_iterate
+from repro.core.power_iteration import power_iterate, uniform_vector
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.eval.metrics import spearman_rho
+from repro.graph.matrix import shared_operator
 from repro.synth.profiles import generate_dataset
 
 FUSABLE = [
@@ -36,6 +42,7 @@ FUSABLE = [
     ("CR", dict(tau_dir=2.0)),
     ("FR", dict(alpha=0.4, beta=0.1, rho=-0.3)),
     ("ECM", dict(alpha=0.3, gamma=0.4)),
+    ("KATZ", dict(alpha=0.2)),
 ]
 
 
@@ -44,14 +51,77 @@ def net():
     return generate_dataset("hep-th", size="tiny", seed=7)
 
 
+def _normalized(vector):
+    total = vector.sum()
+    if total <= 0:
+        return np.full(vector.size, 1.0 / max(vector.size, 1))
+    return vector / total
+
+
+def _reference_step(method, net):
+    """``method``'s update as a hand-written step map, with the
+    :func:`power_iterate` options its solve uses."""
+    n = net.n_papers
+    operator = shared_operator(net)
+    if method.name == "AR":
+        attention, recency = method.jump_vectors(net)
+        jump = method.beta * attention + method.gamma * recency
+        return lambda x: method.alpha * operator.apply(x) + jump, {}
+    if method.name == "PR":
+        teleport = (1.0 - method.alpha) * uniform_vector(n)
+        return lambda x: method.alpha * operator.apply(x) + teleport, {}
+    if method.name == "CR":
+        rho = method.entry_distribution(net)
+        transfer = operator.sparse_part
+
+        def cr_step(x):
+            return rho + method.alpha * (transfer @ x)
+
+        return cr_step, dict(start=rho, normalize=False)
+    if method.name == "FR":
+        time_vector = method.recency_weights(net)
+        rest = 1.0 - method.alpha - method.beta - method.gamma
+        uniform_mass = max(rest, 0.0) / n
+        incidence = net.author_matrix
+
+        def fr_step(x):
+            updated = (
+                method.alpha * operator.apply(x)
+                + method.gamma * time_vector
+                + uniform_mass
+            )
+            authors = _normalized(incidence @ x)
+            return updated + method.beta * _normalized(incidence.T @ authors)
+
+        return fr_step, dict(raise_on_failure=False)
+    # ECM and KATZ: a Katz series over their own matrix, from base.
+    if method.name == "ECM":
+        matrix = method.retained_matrix(net)
+        base = matrix @ np.ones(n)
+    else:
+        matrix = net.citation_matrix
+        base = np.asarray(matrix.sum(axis=1)).ravel()
+
+    def katz_step(x):
+        return base + method.alpha * (matrix @ x)
+
+    return katz_step, dict(start=base, normalize=False, raise_on_failure=False)
+
+
 @pytest.fixture(scope="module")
 def reference(net):
-    """Per-method scalar solves: scores and convergence info."""
+    """Per-method reference solves: scores and convergence info."""
     out = {}
     for position, (label, params) in enumerate(FUSABLE):
         method = make_method(label, **params)
-        scores = np.asarray(method.scores(net))
-        out[position] = (scores, method.last_convergence)
+        step, options = _reference_step(method, net)
+        out[position] = power_iterate(
+            step,
+            net.n_papers,
+            tol=method.tol,
+            max_iterations=method.max_iterations,
+            **options,
+        )
     return out
 
 
@@ -92,7 +162,7 @@ class TestBitIdentity:
             assert info.residual_history == want_info.residual_history
 
     def test_single_column_degenerates_to_power_iterate(self, net):
-        """m=1 is exactly the legacy scalar loop (which delegates here)."""
+        """m=1 is exactly a hand-written step loop through power_iterate."""
         column = _columns(net, [1])[0]
         fused_scores, fused_info = FusedSolver(
             [column], net.n_papers
@@ -192,8 +262,10 @@ class TestConvergenceMasks:
 
 
 class TestSolveMethodsDispatch:
-    def test_narrow_panel_matches_and_skips_stacking(self, net, monkeypatch):
-        """< FUSE_MIN_COLUMNS per operator: scalar path, same bits."""
+    def test_narrow_panel_matches_and_skips_stacking(
+        self, net, reference, monkeypatch
+    ):
+        """< FUSE_MIN_COLUMNS per operator: width-1 solves, same bits."""
         stacked = []
         real_solve = FusedSolver.solve
 
@@ -205,15 +277,27 @@ class TestSolveMethodsDispatch:
         methods = [make_method(l, **p) for l, p in FUSABLE]
         solved = solve_methods(net, methods)
         for position, (scores, info) in enumerate(solved):
-            want = np.asarray(
-                make_method(*FUSABLE[position][:1], **FUSABLE[position][1])
-                .scores(net)
-            )
-            np.testing.assert_array_equal(scores, want)
-            assert info is not None
-        # The 5-method panel's largest operator group is 4 wide, so
-        # every stacked solve was a scalar (m=1) delegation.
-        assert all(width == 1 for width in stacked)
+            want_scores, want_info = reference[position]
+            np.testing.assert_array_equal(scores, want_scores)
+            assert info.residual_history == want_info.residual_history
+            assert methods[position].last_convergence is info
+        # The panel's largest operator group is 4 wide, so every solve
+        # was one column alone.
+        assert stacked == [1] * len(FUSABLE)
+
+    def test_narrow_panel_builds_each_column_once(self, net):
+        """Narrow groups solve the columns already built, rather than
+        calling ``scores()`` to build them again."""
+        calls = Counter()
+        methods = [make_method(l, **p) for l, p in FUSABLE]
+        for method in methods:
+            def counting(network, real=method.fused_column, method=method):
+                calls[method.name] += 1
+                return real(network)
+
+            method.fused_column = counting
+        solve_methods(net, methods)
+        assert calls == {label: 1 for label, _ in FUSABLE}
 
     def test_wide_grid_is_stacked(self, net, monkeypatch):
         stacked = []
@@ -278,6 +362,11 @@ class TestFusedColumnValidation:
         with pytest.raises(ConfigurationError, match="jump"):
             FusedColumn(label="nojump", matrix=matrix)
 
+    def test_step_columns_do_not_mix_with_linear_columns(self, net):
+        step = FusedColumn(label="step", step=lambda x: x)
+        with pytest.raises(ConfigurationError, match="share a stack"):
+            FusedSolver([_columns(net, [1])[0], step], net.n_papers)
+
     def test_bad_tol_and_budget(self):
         with pytest.raises(ConfigurationError, match="tol"):
             FusedColumn(label="t", step=lambda x: x, tol=0.0)
@@ -293,7 +382,7 @@ class TestFusedColumnValidation:
 @settings(max_examples=15, deadline=None)
 @given(
     subset=st.sets(
-        st.integers(0, len(FUSABLE) - 1), min_size=1, max_size=5
+        st.integers(0, len(FUSABLE) - 1), min_size=1, max_size=len(FUSABLE)
     ),
     jobs=st.sampled_from([1, 2, 4]),
     data=st.data(),
@@ -301,7 +390,7 @@ class TestFusedColumnValidation:
 def test_any_subset_any_drop_order_any_jobs(subset, jobs, data):
     """Random subsets with randomly loosened tolerances (which shuffle
     the order columns drop out of the stack) stay bit-identical to the
-    scalar solves with the same tolerances."""
+    width-1 solves with the same tolerances."""
     net = generate_dataset("hep-th", size="tiny", seed=7)
     positions = sorted(subset)
     columns = []

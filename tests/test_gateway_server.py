@@ -492,6 +492,45 @@ class TestGatewayThread:
             gateway.stop()
         assert first_port is not None  # both runs actually bound
 
+    def test_stop_with_idle_keep_alive_client_leaves_nothing(
+        self, monkeypatch, capfd
+    ):
+        """stop() awaits every connection handler: an idle keep-alive
+        client leaves no pending task, no call to the loop's exception
+        handler and nothing on stderr."""
+        import socket
+
+        handled, pending = [], []
+        real_start, real_stop = GatewayServer.start, GatewayServer.stop
+
+        async def start(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            await real_start(server)
+
+        async def stop(server):
+            await real_stop(server)
+            pending.extend(
+                task
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            )
+
+        monkeypatch.setattr(GatewayServer, "start", start)
+        monkeypatch.setattr(GatewayServer, "stop", stop)
+        gateway = GatewayThread(_make_service()).start()
+        client = socket.create_connection(("127.0.0.1", gateway.port))
+        try:
+            client.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert client.recv(65536).startswith(b"HTTP/1.1 200")
+            gateway.stop()  # the client is connected and idle
+        finally:
+            client.close()
+        assert handled == []
+        assert pending == []
+        assert capfd.readouterr().err == ""
+
     def test_thread_serves_urllib_and_drains(self):
         import urllib.request
 
