@@ -31,6 +31,13 @@ from repro.errors import GraphError
 __all__ = ["CitationNetwork"]
 
 
+def _as_array(values: Iterable, dtype: type) -> np.ndarray:
+    """A fresh ``dtype`` array of ``values``; arrays are copied, not listed."""
+    if isinstance(values, np.ndarray):
+        return values.astype(dtype)
+    return np.asarray(list(values), dtype=dtype)
+
+
 def _as_index_array(values: Iterable[int], *, name: str) -> IntVector:
     """Convert ``values`` to a 1-D int64 array, validating dimensionality."""
     array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
@@ -62,6 +69,11 @@ class CitationNetwork:
     paper_venues:
         Optional integer array (one entry per paper) of venue indices,
         with ``-1`` meaning "venue unknown".
+    author_indptr, author_indices:
+        The same author lists in CSR form, given together instead
+        of ``paper_authors``: paper ``i``'s authors are
+        ``author_indices[author_indptr[i]:author_indptr[i + 1]]``.  The
+        network stores its author lists this way in either case.
     validate:
         When true (the default), run structural integrity checks; see
         :meth:`validate`.
@@ -82,10 +94,12 @@ class CitationNetwork:
         *,
         paper_authors: Sequence[Sequence[int]] | None = None,
         paper_venues: Iterable[int] | None = None,
+        author_indptr: Iterable[int] | None = None,
+        author_indices: Iterable[int] | None = None,
         validate: bool = True,
     ) -> None:
-        self._paper_ids = tuple(str(p) for p in paper_ids)
-        self._pub_time = np.asarray(list(publication_times), dtype=np.float64)
+        self._paper_ids = tuple(map(str, paper_ids))
+        self._pub_time = _as_array(publication_times, np.float64)
         self._citing = _as_index_array(citing, name="citing")
         self._cited = _as_index_array(cited, name="cited")
         self._pub_time.setflags(write=False)
@@ -93,23 +107,44 @@ class CitationNetwork:
         self._cited.setflags(write=False)
 
         if paper_authors is not None:
-            self._paper_authors: tuple[tuple[int, ...], ...] | None = tuple(
-                tuple(int(a) for a in authors) for authors in paper_authors
+            if author_indptr is not None or author_indices is not None:
+                raise GraphError(
+                    "give paper_authors or author_indptr/author_indices, "
+                    "not both"
+                )
+            flat: list[int] = []
+            author_indptr = [0]
+            for authors in paper_authors:
+                flat.extend(authors)
+                author_indptr.append(len(flat))
+            author_indices = np.asarray(flat, dtype=np.int64)
+        if (author_indptr is None) != (author_indices is None):
+            raise GraphError(
+                "author_indptr and author_indices must be given together"
             )
-        else:
-            self._paper_authors = None
+        self._author_indptr: IntVector | None = None
+        self._author_indices: IntVector | None = None
+        if author_indptr is not None:
+            self._author_indptr = _as_index_array(
+                author_indptr, name="author_indptr"
+            )
+            self._author_indices = _as_index_array(
+                author_indices, name="author_indices"
+            )
+            self._author_indptr.setflags(write=False)
+            self._author_indices.setflags(write=False)
 
         if paper_venues is not None:
-            self._paper_venues: IntVector | None = np.asarray(
-                list(paper_venues), dtype=np.int64
+            self._paper_venues: IntVector | None = _as_array(
+                paper_venues, np.int64
             )
             self._paper_venues.setflags(write=False)
         else:
             self._paper_venues = None
 
-        self._index: dict[str, int] = {
-            pid: i for i, pid in enumerate(self._paper_ids)
-        }
+        self._index: dict[str, int] = dict(
+            zip(self._paper_ids, range(len(self._paper_ids)))
+        )
         if validate:
             self.validate()
 
@@ -146,10 +181,32 @@ class CitationNetwork:
         """Cited-paper index of each edge (the target of the reference)."""
         return self._cited
 
-    @property
+    @cached_property
     def paper_authors(self) -> tuple[tuple[int, ...], ...] | None:
-        """Author indices per paper, or ``None`` when unavailable."""
-        return self._paper_authors
+        """Author indices per paper, or ``None`` when unavailable.
+
+        A tuple view derived on first use from :attr:`author_indptr` and
+        :attr:`author_indices`, which the library's own paths use.
+        """
+        if self._author_indptr is None:
+            return None
+        flat = self._author_indices.tolist()
+        bounds = self._author_indptr.tolist()
+        return tuple(
+            tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])
+        )
+
+    @property
+    def author_indptr(self) -> IntVector | None:
+        """Offsets of each paper's author list in :attr:`author_indices`
+        (``n_papers + 1`` entries), or ``None`` without author data."""
+        return self._author_indptr
+
+    @property
+    def author_indices(self) -> IntVector | None:
+        """Every paper's author indices, concatenated in paper order, or
+        ``None`` without author data."""
+        return self._author_indices
 
     @property
     def paper_venues(self) -> IntVector | None:
@@ -159,7 +216,7 @@ class CitationNetwork:
     @property
     def has_authors(self) -> bool:
         """Whether author metadata is present."""
-        return self._paper_authors is not None
+        return self._author_indptr is not None
 
     @property
     def has_venues(self) -> bool:
@@ -169,11 +226,9 @@ class CitationNetwork:
     @cached_property
     def n_authors(self) -> int:
         """Number of distinct authors (0 when author data is absent)."""
-        if self._paper_authors is None:
+        if self._author_indices is None:
             return 0
-        return 1 + max(
-            (a for authors in self._paper_authors for a in authors), default=-1
-        )
+        return int(self._author_indices.max(initial=-1)) + 1
 
     @cached_property
     def n_venues(self) -> int:
@@ -255,15 +310,14 @@ class CitationNetwork:
         GraphError
             If the network carries no author metadata.
         """
-        if self._paper_authors is None:
+        if self._author_indptr is None:
             raise GraphError("this network has no author metadata")
-        rows: list[int] = []
-        cols: list[int] = []
-        for paper, authors in enumerate(self._paper_authors):
-            for author in authors:
-                rows.append(author)
-                cols.append(paper)
-        data = np.ones(len(rows), dtype=np.float64)
+        rows = self._author_indices
+        cols = np.repeat(
+            np.arange(self.n_papers, dtype=np.int64),
+            np.diff(self._author_indptr),
+        )
+        data = np.ones(rows.size, dtype=np.float64)
         matrix = sp.csr_matrix(
             (data, (rows, cols)), shape=(self.n_authors, self.n_papers)
         )
@@ -344,8 +398,21 @@ class CitationNetwork:
                     raise GraphError(f"{name} index out of range [0, {n})")
             if np.any(self._citing == self._cited):
                 raise GraphError("self-citations are not allowed")
-        if self._paper_authors is not None and len(self._paper_authors) != n:
-            raise GraphError("paper_authors length must equal n_papers")
+        if self._author_indptr is not None:
+            indptr, indices = self._author_indptr, self._author_indices
+            if indptr.shape != (n + 1,):
+                raise GraphError("paper_authors length must equal n_papers")
+            if (
+                indptr[0] != 0
+                or indptr[-1] != indices.size
+                or np.any(np.diff(indptr) < 0)
+            ):
+                raise GraphError(
+                    "author_indptr must rise from 0 to the number of "
+                    "author_indices"
+                )
+            if indices.min(initial=0) < 0:
+                raise GraphError("author indices must be non-negative")
         if self._paper_venues is not None and self._paper_venues.shape != (n,):
             raise GraphError("paper_venues length must equal n_papers")
         if require_time_order and self.n_citations:
@@ -394,9 +461,18 @@ class CitationNetwork:
         remap[keep] = np.arange(keep.size, dtype=np.int64)
         edge_ok = (remap[self._citing] >= 0) & (remap[self._cited] >= 0)
 
-        authors = None
-        if self._paper_authors is not None:
-            authors = [self._paper_authors[i] for i in keep]
+        indptr = indices = None
+        if self._author_indptr is not None:
+            starts = self._author_indptr[keep]
+            lengths = self._author_indptr[keep + 1] - starts
+            indptr = np.zeros(keep.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            # Position j of the kept lists reads starts[p] + (j - indptr[p])
+            # for the kept paper p it falls in.
+            offsets = np.repeat(starts - indptr[:-1], lengths)
+            indices = self._author_indices[
+                offsets + np.arange(indptr[-1], dtype=np.int64)
+            ]
         venues = None
         if self._paper_venues is not None:
             venues = self._paper_venues[keep]
@@ -406,8 +482,9 @@ class CitationNetwork:
             publication_times=self._pub_time[keep],
             citing=remap[self._citing[edge_ok]],
             cited=remap[self._cited[edge_ok]],
-            paper_authors=authors,
             paper_venues=venues,
+            author_indptr=indptr,
+            author_indices=indices,
             validate=False,
         )
 
@@ -482,9 +559,14 @@ class CitationNetwork:
             extra_citing.append(source)
             extra_cited.append(target)
 
-        authors = None
-        if self._paper_authors is not None:
-            authors = list(self._paper_authors) + [()] * len(new_ids)
+        indptr = None
+        if self._author_indptr is not None:
+            indptr = np.concatenate(
+                [
+                    self._author_indptr,
+                    np.full(len(new_ids), self._author_indptr[-1]),
+                ]
+            )
         venues = None
         if self._paper_venues is not None:
             venues = np.concatenate(
@@ -502,8 +584,9 @@ class CitationNetwork:
             cited=np.concatenate(
                 [self._cited, np.asarray(extra_cited, dtype=np.int64)]
             ),
-            paper_authors=authors,
             paper_venues=venues,
+            author_indptr=indptr,
+            author_indices=self._author_indices,
             validate=validate,
         )
 

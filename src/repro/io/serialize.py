@@ -15,7 +15,13 @@ in milliseconds.  The format is a plain NumPy ``.npz`` archive:
 The payload helpers :func:`network_payload` / :func:`network_from_payload`
 convert between a network and its array dictionary without touching the
 filesystem; composite formats embedding a network (the score index of
-:mod:`repro.serve`) build on them.
+:mod:`repro.serve`) build on them.  Both pass the network's author arrays
+through as they are, so no per-paper Python object is built.
+
+Network files stay deflated (:func:`numpy.savez_compressed`) and
+unsealed: they are inputs, written once and read once per job, where
+size matters more than load time.  The score index writes the same
+payload stored and sealed instead (:mod:`repro.serve.score_index`).
 """
 
 from __future__ import annotations
@@ -48,17 +54,9 @@ def network_payload(network: CitationNetwork) -> dict[str, np.ndarray]:
         "citing": network.citing,
         "cited": network.cited,
     }
-    if network.paper_authors is not None:
-        lengths = [len(authors) for authors in network.paper_authors]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.asarray(lengths, dtype=np.int64)))
-        )
-        indices = np.asarray(
-            [a for authors in network.paper_authors for a in authors],
-            dtype=np.int64,
-        )
-        payload["author_indptr"] = indptr
-        payload["author_indices"] = indices
+    if network.has_authors:
+        payload["author_indptr"] = network.author_indptr
+        payload["author_indices"] = network.author_indices
     if network.paper_venues is not None:
         payload["venues"] = network.paper_venues
     return payload
@@ -91,22 +89,20 @@ def network_from_payload(
             f"{source}: unsupported format version {version} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    paper_authors = None
-    if "author_indptr" in members:
-        indptr = arrays["author_indptr"]
-        indices = arrays["author_indices"]
-        paper_authors = [
-            tuple(int(a) for a in indices[indptr[i]: indptr[i + 1]])
-            for i in range(len(indptr) - 1)
-        ]
+    authors = {"author_indptr", "author_indices"} & members
+    if len(authors) == 1:
+        raise DataFormatError(
+            f"{source}: {authors.pop()} without its partner array"
+        )
     venues = arrays["venues"] if "venues" in members else None
     return CitationNetwork(
-        paper_ids=[str(p) for p in arrays["paper_ids"]],
+        paper_ids=arrays["paper_ids"].tolist(),
         publication_times=arrays["pub_time"],
         citing=arrays["citing"],
         cited=arrays["cited"],
-        paper_authors=paper_authors,
         paper_venues=venues,
+        author_indptr=arrays["author_indptr"] if authors else None,
+        author_indices=arrays["author_indices"] if authors else None,
         validate=True,
     )
 

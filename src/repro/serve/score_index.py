@@ -15,18 +15,33 @@ is the unit of state the serving layer works with:
 
 Every refresh bumps :attr:`ScoreIndex.version`; query-result caches key
 on the version, which makes invalidation after updates automatic.
+
+On-disk format (:data:`INDEX_FORMAT_VERSION` 2).  This module is the one
+writer (:func:`write_index_archive`) and reader
+(:func:`open_index_archive`) of index files, which stream checkpoints
+and the shard files of :mod:`repro.serve.shard` share.  Members are
+``<name>.npy`` entries stored without compression, so saving and
+reopening run at memory speed rather than zlib speed; the price is
+size (the benchmark's 100k-paper index is ~25 MB stored against
+~2.7 MB deflated).  The zip comment seals the file with the sha256 of
+every byte before it.  A reader checks the metadata record and the
+member names first, so that a file of another kind or version gets its
+own error, then verifies the seal before it decodes any bulk array:
+any damaged byte fails as a typed error instead of loading silently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
+import hashlib
 import json
 import os
 import time
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,7 +62,14 @@ from repro.obs.trace import span
 
 __all__ = ["ScoreIndex", "MethodEntry", "INDEX_FORMAT_VERSION"]
 
-INDEX_FORMAT_VERSION = 1
+#: Version 2: stored (uncompressed) members and a sha256 seal in the zip
+#: comment.  Version 1 files were deflated and unsealed.
+INDEX_FORMAT_VERSION = 2
+
+#: The seal is this prefix and 64 hex digits, the archive's zip comment.
+_SEAL_PREFIX = b"repro-index-sha256:"
+_SEAL_SIZE = len(_SEAL_PREFIX) + 64
+_HASH_CHUNK = 1 << 20
 
 _LOG = get_logger("serve.solver")
 
@@ -343,28 +365,15 @@ class ScoreIndex:
     def save(self, path: str) -> None:
         """Write the index (snapshot + scores + metadata) to ``path``.
 
-        The write is atomic (temp file + rename): ``repro update``
-        overwrites the live index in place, and an interrupted write
-        must never destroy the only copy of the serving state.
+        The file is a stored, sealed archive (see
+        :func:`write_index_archive`).  The write is atomic (temp file +
+        rename): ``repro update`` overwrites the live index in place,
+        and an interrupted write must never destroy the only copy of
+        the serving state.
         """
-        payload = network_payload(self._network)
-        meta = {
-            "index_format_version": INDEX_FORMAT_VERSION,
-            "version": self._version,
-            "methods": [
-                {
-                    "label": entry.label,
-                    "params": dict(entry.params),
-                    "iterations": entry.iterations,
-                    "converged": entry.converged,
-                    "warm_started": entry.warm_started,
-                }
-                for entry in self._entries.values()
-            ],
-        }
-        payload["index_meta"] = np.asarray([json.dumps(meta)], dtype=np.str_)
-        for entry in self._entries.values():
-            payload[f"index_scores__{entry.label}"] = entry.scores
+        payload = index_payload(
+            self._network, self._version, self._entries.values()
+        )
         # Temp debris from a *crashed* earlier save (the cleanup below
         # only runs on live exceptions, not on a kill) is swept here,
         # on the next commit attempt — the same recovery moment the
@@ -373,10 +382,8 @@ class ScoreIndex:
             os.remove(stale)
         temp_path = f"{path}.tmp-{os.getpid()}"
         try:
-            # A file handle keeps savez from appending ".npz" to the
-            # temp name and lets us fsync before the rename.
-            with open(temp_path, "wb") as handle:
-                np.savez_compressed(handle, **payload)
+            with open(temp_path, "w+b") as handle:
+                write_index_archive(handle, payload)
                 handle.flush()
                 chaos_point("index.save.write")
                 os.fsync(handle.fileno())
@@ -395,11 +402,16 @@ class ScoreIndex:
     def load(cls, path: str) -> "ScoreIndex":
         """Read an index previously written by :meth:`save`.
 
+        The metadata record and the member names are checked first, so
+        a file of another kind or version gets its own error; the seal
+        is verified before any bulk array is decoded.
+
         Raises
         ------
         DataFormatError
             If the file is missing, is a bare network file rather than
-            an index, or declares an unsupported index format version.
+            an index, declares an unsupported index format version, is
+            damaged, or fails its seal.
         IndexIntegrityError
             If the file parses as an index but its pieces disagree:
             metadata fields missing, method labels unknown to the
@@ -410,44 +422,48 @@ class ScoreIndex:
         if not os.path.exists(path):
             raise DataFormatError(f"file not found: {path}")
         chaos_point("index.load")
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except DataFormatError:
-            raise
-        except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as error:
-            # np.load raises zipfile/OS errors on truncated archives
-            # and directories, and zlib errors on bit-flipped deflate
-            # data; a CLI caller must get a typed one-liner, not a
-            # traceback.
-            raise DataFormatError(
-                f"{path}: not a readable .npz index ({error})"
-            ) from None
-        if "index_meta" not in arrays:
-            raise DataFormatError(
-                f"{path}: not a repro score index (missing index_meta; "
-                "is this a bare network file?)"
+        with open_index_archive(path, DataFormatError) as archive:
+            if "index_meta" not in archive.names:
+                raise DataFormatError(
+                    f"{path}: not a repro score index (missing index_meta; "
+                    "is this a bare network file?)"
+                )
+            meta = archive.record("index_meta")
+            format_version = meta.get("index_format_version")
+            if format_version != INDEX_FORMAT_VERSION:
+                raise DataFormatError(
+                    f"{path}: unsupported index format version "
+                    f"{format_version} "
+                    f"(this build reads version {INDEX_FORMAT_VERSION})"
+                )
+            records = _validated_method_records(meta, source=path)
+            declared = {
+                f"index_scores__{record['label']}": record["label"]
+                for record in records["methods"]
+            }
+            for key, label in declared.items():
+                if key not in archive.names:
+                    raise IndexIntegrityError(
+                        f"{path}: score vector for {label!r} is missing"
+                    )
+            undeclared = sorted(
+                name
+                for name in archive.names
+                if name.startswith("index_scores__") and name not in declared
             )
-        meta = json.loads(str(arrays["index_meta"][0]))
-        declared = int(meta.get("index_format_version", -1))
-        if declared != INDEX_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported index format version {declared} "
-                f"(this build reads version {INDEX_FORMAT_VERSION})"
-            )
-        records = _validated_method_records(meta, source=path)
+            if undeclared:
+                raise IndexIntegrityError(
+                    f"{path}: score vectors not declared in the metadata: "
+                    f"{undeclared} — the file was assembled inconsistently"
+                )
+            arrays = archive.arrays()
         network = network_from_payload(arrays, source=path)
         index = cls(network, version=records["version"])
-        declared_keys = set()
         for record in records["methods"]:
             label = record["label"]
-            key = f"index_scores__{label}"
-            declared_keys.add(key)
-            if key not in arrays:
-                raise IndexIntegrityError(
-                    f"{path}: score vector for {label!r} is missing"
-                )
-            scores = np.asarray(arrays[key], dtype=np.float64)
+            scores = np.asarray(
+                arrays[f"index_scores__{label}"], dtype=np.float64
+            )
             scores.setflags(write=False)
             if scores.shape != (network.n_papers,):
                 raise IndexIntegrityError(
@@ -462,18 +478,180 @@ class ScoreIndex:
                 converged=record["converged"],
                 warm_started=record["warm_started"],
             )
-        undeclared = sorted(
-            name
-            for name in arrays
-            if name.startswith("index_scores__")
-            and name not in declared_keys
-        )
-        if undeclared:
-            raise IndexIntegrityError(
-                f"{path}: score vectors not declared in the metadata: "
-                f"{undeclared} — the file was assembled inconsistently"
-            )
         return index
+
+
+def index_payload(
+    network: CitationNetwork, version: int, entries: Iterable[MethodEntry]
+) -> dict[str, np.ndarray]:
+    """The arrays of an index file: the network payload, the
+    ``index_meta`` record and one ``index_scores__<label>`` vector per
+    entry.  Shard files add their own members to it."""
+    entries = list(entries)
+    payload = network_payload(network)
+    meta = {
+        "index_format_version": INDEX_FORMAT_VERSION,
+        "version": version,
+        "methods": [
+            {
+                "label": entry.label,
+                "params": dict(entry.params),
+                "iterations": entry.iterations,
+                "converged": entry.converged,
+                "warm_started": entry.warm_started,
+            }
+            for entry in entries
+        ],
+    }
+    payload["index_meta"] = np.asarray([json.dumps(meta)], dtype=np.str_)
+    for entry in entries:
+        payload[f"index_scores__{entry.label}"] = entry.scores
+    return payload
+
+
+def write_index_archive(
+    handle: BinaryIO, arrays: Mapping[str, np.ndarray]
+) -> None:
+    """Write ``arrays`` to ``handle`` as a stored, sealed ``.npz``.
+
+    ``handle`` is a new file opened for reading and writing (``"w+b"``).
+    Members are ``<name>.npy`` entries stored without compression, as
+    :func:`numpy.savez` writes them, so :func:`numpy.load` reads the
+    file too.  The zip comment is the seal: :data:`_SEAL_PREFIX` and the
+    hex sha256 of every byte before it.
+    """
+    with zipfile.ZipFile(
+        handle, "w", zipfile.ZIP_STORED, allowZip64=True
+    ) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(array), allow_pickle=False
+                )
+        # A placeholder of the seal's length, so that the end record
+        # already carries the final comment length when it is hashed.
+        archive.comment = bytes(_SEAL_SIZE)
+    sealed = handle.tell() - _SEAL_SIZE
+    digest = _sha256_prefix(handle, sealed)
+    handle.seek(sealed)
+    handle.write(_SEAL_PREFIX + digest)
+
+
+#: What ``zipfile`` and the ``.npy`` reader raise on damaged input: bad
+#: headers, short reads, flags naming unsupported features, undecodable
+#: names or records.  Any byte of a damaged file can land on one of
+#: these before the seal is checked.
+_ARCHIVE_ERRORS = (
+    OSError,
+    ValueError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+class IndexArchive:
+    """An index or shard file opened by :func:`open_index_archive`.
+
+    :attr:`names` and :meth:`record` read only the directory and small
+    JSON records; :meth:`arrays` verifies the seal before it decodes a
+    bulk array.  Every failure raises the archive's error type.
+    """
+
+    def __init__(
+        self, path: str, handle: BinaryIO, archive: zipfile.ZipFile,
+        error: type[DataFormatError],
+    ) -> None:
+        self.path = path
+        self._handle = handle
+        self._archive = archive
+        self._error = error
+        self.names = {
+            name[: -len(".npy")]
+            for name in archive.namelist()
+            if name.endswith(".npy")
+        }
+
+    def _read(self, name: str) -> np.ndarray:
+        with self._archive.open(f"{name}.npy") as member:
+            return np.lib.format.read_array(member, allow_pickle=False)
+
+    def record(self, name: str) -> dict[str, Any]:
+        """The JSON object stored as the one-string member ``name``."""
+        try:
+            array = self._read(name)
+            record = json.loads(str(array.reshape(-1)[0]))
+        except (IndexError, *_ARCHIVE_ERRORS) as error:
+            raise self._error(
+                f"{self.path}: unreadable {name} record ({error})"
+            ) from None
+        if not isinstance(record, dict):
+            raise self._error(f"{self.path}: {name} is not a JSON object")
+        return record
+
+    def arrays(
+        self, names: Iterable[str] | None = None
+    ) -> dict[str, np.ndarray]:
+        """Verify the seal, then decode ``names`` (default: every member)."""
+        size = os.fstat(self._handle.fileno()).st_size
+        sealed = size - _SEAL_SIZE
+        try:
+            self._handle.seek(max(sealed, 0))
+            seal = self._handle.read(_SEAL_SIZE)
+            if len(seal) != _SEAL_SIZE or not seal.startswith(_SEAL_PREFIX):
+                raise self._error(
+                    f"{self.path}: archive carries no seal (written by "
+                    "another tool, or damaged at its end)"
+                )
+            if _sha256_prefix(self._handle, sealed) != seal[len(_SEAL_PREFIX):]:
+                raise self._error(
+                    f"{self.path}: seal mismatch — the file changed after "
+                    "it was written"
+                )
+            return {
+                name: self._read(name)
+                for name in (self.names if names is None else names)
+            }
+        except _ARCHIVE_ERRORS as error:
+            raise self._error(
+                f"{self.path}: not a readable archive ({error})"
+            ) from None
+
+
+@contextlib.contextmanager
+def open_index_archive(
+    path: str, error: type[DataFormatError]
+) -> Iterator[IndexArchive]:
+    """Open the index or shard file ``path``; damage raises ``error``."""
+    with contextlib.ExitStack() as stack:
+        try:
+            handle = stack.enter_context(open(path, "rb"))
+            archive = stack.enter_context(zipfile.ZipFile(handle))
+        except _ARCHIVE_ERRORS as failure:
+            # Directories, truncated files and flipped bytes fail the
+            # zip open; a CLI caller must get a typed one-liner, not a
+            # traceback.
+            raise error(
+                f"{path}: not a readable .npz index ({failure})"
+            ) from None
+        yield IndexArchive(path, handle, archive, error)
+
+
+def _sha256_prefix(handle: BinaryIO, length: int) -> bytes:
+    """Hex sha256 of the first ``length`` bytes of ``handle``, read in
+    chunks so that hashing never holds the whole file."""
+    digest = hashlib.sha256()
+    handle.seek(0)
+    remaining = length
+    while remaining > 0:
+        chunk = handle.read(min(remaining, _HASH_CHUNK))
+        if not chunk:
+            raise EOFError(f"file ended {remaining} bytes before its seal")
+        digest.update(chunk)
+        remaining -= len(chunk)
+    return digest.hexdigest().encode("ascii")
 
 
 def _validated_method_records(

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-import zipfile
-import zlib
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,8 +44,12 @@ import numpy as np
 from repro._typing import FloatVector, IntVector
 from repro.chaos.points import chaos_point
 from repro.errors import ConfigurationError, IndexIntegrityError
-from repro.io.serialize import network_payload
-from repro.serve.score_index import INDEX_FORMAT_VERSION, ScoreIndex
+from repro.serve.score_index import (
+    ScoreIndex,
+    index_payload,
+    open_index_archive,
+    write_index_archive,
+)
 
 __all__ = [
     "Shard",
@@ -711,27 +714,16 @@ class ShardedScoreIndex:
             shard = snapshot.shard(shard_id)
             filename = f"shard_{shard_id:04d}.npz"
             files.append(filename)
-            subnet = network.subnetwork(shard.global_indices)
-            payload = network_payload(subnet)
-            meta = {
-                "index_format_version": INDEX_FORMAT_VERSION,
-                "version": snapshot.version,
-                "methods": [
-                    {
-                        "label": entry.label,
-                        "params": dict(entry.params),
-                        "iterations": entry.iterations,
-                        "converged": entry.converged,
-                        "warm_started": entry.warm_started,
-                    }
-                    for entry in (
-                        self._backing.entry(label)
-                        for label in snapshot.labels
+            payload = index_payload(
+                network.subnetwork(shard.global_indices),
+                snapshot.version,
+                (
+                    replace(
+                        self._backing.entry(label),
+                        scores=shard.scores[label],
                     )
-                ],
-            }
-            payload["index_meta"] = np.asarray(
-                [json.dumps(meta)], dtype=np.str_
+                    for label in snapshot.labels
+                ),
             )
             shard_meta = {
                 "shard_format_version": SHARD_FORMAT_VERSION,
@@ -743,10 +735,8 @@ class ShardedScoreIndex:
                 [json.dumps(shard_meta)], dtype=np.str_
             )
             payload["shard_global_indices"] = shard.global_indices
-            for label in snapshot.labels:
-                payload[f"index_scores__{label}"] = shard.scores[label]
-            with open(os.path.join(directory, filename), "wb") as handle:
-                np.savez_compressed(handle, **payload)
+            with open(os.path.join(directory, filename), "w+b") as handle:
+                write_index_archive(handle, payload)
         manifest = {
             "shard_format_version": SHARD_FORMAT_VERSION,
             "n_shards": snapshot.n_shards,
@@ -876,51 +866,44 @@ def _load_shard_file(
     """Read one shard ``.npz`` and cross-check it against the manifest."""
     if not os.path.exists(path):
         raise IndexIntegrityError(f"shard file not found: {path}")
-    try:
-        # Materialised eagerly: truncation fails the zip open, but a
-        # bit-flipped member only fails when its deflate stream is
-        # read — both must surface as a typed integrity failure, never
-        # a bare zipfile/zlib traceback.
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as error:
-        raise IndexIntegrityError(
-            f"{path}: not a readable shard .npz ({error})"
-        ) from None
-    members = set(arrays)
-    required = {"paper_ids", "pub_time", "shard_meta", "index_meta",
-                "shard_global_indices"}
-    missing = required - members
-    if missing:
-        raise IndexIntegrityError(
-            f"{path}: not a shard file (missing {sorted(missing)})"
+    with open_index_archive(path, IndexIntegrityError) as archive:
+        required = {"paper_ids", "pub_time", "shard_meta", "index_meta",
+                    "shard_global_indices"}
+        missing = required - archive.names
+        if missing:
+            raise IndexIntegrityError(
+                f"{path}: not a shard file (missing {sorted(missing)})"
+            )
+        shard_meta = archive.record("shard_meta")
+        index_meta = archive.record("index_meta")
+        if shard_meta.get("shard_id") != shard_id:
+            raise IndexIntegrityError(
+                f"{path}: shard file claims id "
+                f"{shard_meta.get('shard_id')}, manifest expects "
+                f"{shard_id}"
+            )
+        if index_meta.get("version") != version:
+            raise IndexIntegrityError(
+                f"{path}: shard is at index version "
+                f"{index_meta.get('version')}, manifest expects "
+                f"{version} — the store was partially overwritten"
+            )
+        keys = [f"index_scores__{label}" for label in labels]
+        for label, key in zip(labels, keys):
+            if key not in archive.names:
+                raise IndexIntegrityError(
+                    f"{path}: score vector for {label!r} is missing"
+                )
+        arrays = archive.arrays(
+            ["paper_ids", "pub_time", "shard_global_indices", *keys]
         )
-    shard_meta = json.loads(str(arrays["shard_meta"][0]))
-    index_meta = json.loads(str(arrays["index_meta"][0]))
-    if int(shard_meta.get("shard_id", -1)) != shard_id:
-        raise IndexIntegrityError(
-            f"{path}: shard file claims id "
-            f"{shard_meta.get('shard_id')}, manifest expects "
-            f"{shard_id}"
-        )
-    if int(index_meta.get("version", -1)) != version:
-        raise IndexIntegrityError(
-            f"{path}: shard is at index version "
-            f"{index_meta.get('version')}, manifest expects "
-            f"{version} — the store was partially overwritten"
-        )
-    paper_ids = [str(p) for p in arrays["paper_ids"]]
+    paper_ids = arrays["paper_ids"].tolist()
     times = np.asarray(arrays["pub_time"], dtype=np.float64)
     global_indices = np.asarray(
         arrays["shard_global_indices"], dtype=np.int64
     )
     scores: dict[str, FloatVector] = {}
-    for label in labels:
-        key = f"index_scores__{label}"
-        if key not in members:
-            raise IndexIntegrityError(
-                f"{path}: score vector for {label!r} is missing"
-            )
+    for label, key in zip(labels, keys):
         vector = np.asarray(arrays[key], dtype=np.float64)
         if vector.shape != (len(paper_ids),):
             raise IndexIntegrityError(

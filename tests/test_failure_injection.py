@@ -4,6 +4,7 @@ the API documents it) — never return silently wrong rankings."""
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -150,6 +151,61 @@ class TestCorruptServingFiles:
         _flip_byte(path, os.path.getsize(path) // 2)
         with pytest.raises(DataFormatError):
             ScoreIndex.load(path)
+
+
+class TestEverySingleByteFlip:
+    """Flipping any one byte of an index or shard file must fail the
+    load with a typed error: the seal covers every byte before it, and
+    zipfile failures raised before the seal is checked are mapped."""
+
+    @staticmethod
+    def _flip_each(path, load, error):
+        file = pathlib.Path(path)
+        raw = file.read_bytes()
+        escaped = []
+        for offset in range(len(raw)):
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0xFF
+            file.write_bytes(damaged)
+            try:
+                load()
+            except error:
+                continue
+            except Exception as failure:  # an untyped escape
+                escaped.append((offset, type(failure).__name__))
+            else:
+                escaped.append((offset, "loaded"))
+        file.write_bytes(raw)
+        load()  # the undamaged file still loads
+        assert escaped == []
+
+    @pytest.fixture
+    def index(self, toy):
+        from repro.serve import ScoreIndex
+
+        index = ScoreIndex(toy)
+        index.add_method("CC")
+        index.add_method("PR")
+        return index
+
+    def test_index_file(self, index, tmp_path):
+        from repro.serve import ScoreIndex
+
+        path = str(tmp_path / "idx.npz")
+        index.save(path)
+        self._flip_each(path, lambda: ScoreIndex.load(path), DataFormatError)
+
+    @pytest.mark.slow
+    def test_shard_file(self, index, tmp_path):
+        from repro.serve import ShardedScoreIndex
+
+        directory = str(tmp_path / "store")
+        ShardedScoreIndex.from_index(index, n_shards=2).save(directory)
+        self._flip_each(
+            os.path.join(directory, "shard_0000.npz"),
+            lambda: ShardedScoreIndex.load(directory).shard(0),
+            IndexIntegrityError,
+        )
 
 
 class TestCorruptCheckpoints:

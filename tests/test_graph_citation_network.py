@@ -232,3 +232,170 @@ class TestFromEdges:
         assert graph.number_of_nodes() == 4
         assert graph.number_of_edges() == 3
         assert graph.nodes[0]["paper_id"] == "A"
+
+
+def _random_author_lists(rng, n_papers, n_authors=12):
+    """Author lists with empty entries and a repeated author."""
+    lists = [
+        tuple(int(a) for a in rng.integers(0, n_authors, rng.integers(0, 5)))
+        for _ in range(n_papers)
+    ]
+    lists[0] = ()
+    lists[1] = (3, 7, 3)
+    return lists
+
+
+def _reference_author_matrix(lists, n_authors, n_papers):
+    """The author matrix as built from tuples: COO from (author, paper)
+    pairs, duplicates summed, data set to 1."""
+    import scipy.sparse as sp
+
+    rows, cols = [], []
+    for paper, authors in enumerate(lists):
+        for author in authors:
+            rows.append(author)
+            cols.append(paper)
+    matrix = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.float64), (rows, cols)),
+        shape=(n_authors, n_papers),
+    )
+    matrix.sum_duplicates()
+    matrix.data[:] = 1.0
+    return matrix
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestAuthorArrays:
+    """Author lists live in two int64 arrays; every view of them must
+    agree with the tuple-of-tuples semantics."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def case(self, request):
+        rng = np.random.default_rng(request.param)
+        n = 40
+        lists = _random_author_lists(rng, n)
+        citing = np.arange(1, n, dtype=np.int64)
+        cited = rng.integers(0, citing)  # every paper cites an older one
+        network = make(
+            [f"p{i}" for i in range(n)],
+            np.linspace(2000.0, 2010.0, n),
+            citing,
+            cited,
+            paper_authors=lists,
+        )
+        return rng, lists, network
+
+    def test_construction_from_tuples(self, case):
+        _, lists, network = case
+        assert network.paper_authors == tuple(lists)
+        assert network.n_authors == 1 + max(a for t in lists for a in t)
+        lengths = [len(t) for t in lists]
+        assert network.author_indptr.tolist() == [0, *np.cumsum(lengths)]
+        assert network.author_indices.tolist() == [a for t in lists for a in t]
+        for array in (network.author_indptr, network.author_indices):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+
+    def test_construction_from_arrays(self, case):
+        _, lists, network = case
+        rebuilt = make(
+            network.paper_ids,
+            network.publication_times,
+            network.citing,
+            network.cited,
+            author_indptr=network.author_indptr,
+            author_indices=network.author_indices,
+        )
+        assert rebuilt.paper_authors == tuple(lists)
+
+    def test_payload_round_trip(self, case):
+        from repro.io.serialize import network_from_payload, network_payload
+
+        _, lists, network = case
+        restored = network_from_payload(network_payload(network))
+        assert restored.paper_authors == tuple(lists)
+        assert np.array_equal(restored.author_indptr, network.author_indptr)
+        assert np.array_equal(restored.author_indices, network.author_indices)
+
+    def test_subnetwork(self, case):
+        rng, lists, network = case
+        keep = rng.permutation(network.n_papers)[:25]
+        sub = network.subnetwork(keep)
+        assert sub.paper_authors == tuple(lists[i] for i in keep)
+        _assert_same_bytes(
+            sub.author_matrix,
+            _reference_author_matrix(
+                [lists[i] for i in keep], sub.n_authors, sub.n_papers
+            ),
+        )
+        assert network.subnetwork([]).paper_authors == ()
+
+    def test_extend(self, case):
+        _, lists, network = case
+        grown = network.extend(
+            ["n1", "n2"], [2011.0, 2011.5], [("n2", "n1"), ("n1", "p0")]
+        )
+        assert grown.paper_authors == tuple(lists) + ((), ())
+        assert grown.n_authors == network.n_authors
+        _assert_same_bytes(
+            grown.author_matrix,
+            _reference_author_matrix(
+                lists + [(), ()], grown.n_authors, grown.n_papers
+            ),
+        )
+
+    def test_author_matrix_bytes(self, case):
+        _, lists, network = case
+        _assert_same_bytes(
+            network.author_matrix,
+            _reference_author_matrix(
+                lists, network.n_authors, network.n_papers
+            ),
+        )
+
+    def test_only_empty_lists(self):
+        network = make(["a", "b"], [2000.0, 2001.0], [1], [0],
+                       paper_authors=[(), ()])
+        assert network.has_authors
+        assert network.n_authors == 0
+        assert network.author_matrix.shape == (0, 2)
+
+    def test_both_forms_rejected(self, toy):
+        with pytest.raises(GraphError, match="not both"):
+            make(["a"], [2000.0], [], [], paper_authors=[(0,)],
+                 author_indptr=[0, 1], author_indices=[0])
+
+    def test_half_pair_rejected(self):
+        with pytest.raises(GraphError, match="together"):
+            make(["a"], [2000.0], [], [], author_indptr=[0, 0])
+
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            ([0, 1], [0], "length"),
+            ([1, 1, 1], [0], "rise"),
+            ([0, 2, 1], [0], "rise"),
+            ([0, 1, 2], [0, -1], "non-negative"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, indptr, indices, match):
+        with pytest.raises(GraphError, match=match):
+            make(["a", "b"], [2000.0, 2001.0], [], [],
+                 author_indptr=indptr, author_indices=indices)
+
+    def test_array_inputs_are_copied(self):
+        times = np.array([2000.0, 2001.0])
+        venues = np.array([0, 1])
+        network = make(["a", "b"], times, [1], [0], paper_venues=venues)
+        times[0] = 1990.0
+        venues[0] = 5
+        assert network.publication_times[0] == 2000.0
+        assert network.paper_venues[0] == 0
+        assert times.flags.writeable and venues.flags.writeable

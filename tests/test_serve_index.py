@@ -1,5 +1,7 @@
 """Unit tests for repro.serve.score_index (and the LRU cache)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,78 @@ class TestLRUCache:
     def test_bad_maxsize(self):
         with pytest.raises(ConfigurationError):
             LRUCache(maxsize=0)
+
+
+class TestSealedArchive:
+    """Index files are stored (uncompressed) ``.npz`` archives whose zip
+    comment seals every byte before it."""
+
+    @staticmethod
+    def _saved(toy, tmp_path):
+        path = str(tmp_path / "index.npz")
+        index = ScoreIndex(toy)
+        index.add_method("CC")
+        index.save(path)
+        return path
+
+    def test_members_are_stored_and_sealed(self, toy, tmp_path):
+        import hashlib
+        import zipfile
+
+        path = self._saved(toy, tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            comment = archive.comment
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+        prefix, _, digest = comment.partition(b":")
+        assert prefix == b"repro-index-sha256"
+        raw = pathlib.Path(path).read_bytes()
+        sealed = raw[: len(raw) - len(comment)]
+        assert hashlib.sha256(sealed).hexdigest().encode() == digest
+
+    def test_numpy_reads_the_archive(self, toy, tmp_path):
+        path = self._saved(toy, tmp_path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert np.array_equal(
+                archive["index_scores__CC"], ScoreIndex.load(path).scores("CC")
+            )
+
+    def test_unsealed_archive_rejected(self, toy, tmp_path):
+        path = self._saved(toy, tmp_path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        np.savez(path, **arrays)
+        with pytest.raises(DataFormatError, match="no seal"):
+            ScoreIndex.load(path)
+
+    def test_changed_member_fails_the_seal(self, toy, tmp_path):
+        path = self._saved(toy, tmp_path)
+        scores = ScoreIndex.load(path).scores("CC").tobytes()
+        raw = bytearray(pathlib.Path(path).read_bytes())
+        # Members are stored, so the score bytes sit verbatim in the file.
+        at = raw.find(scores)
+        assert at > 0
+        raw[at + len(scores) - 1] ^= 0x01
+        pathlib.Path(path).write_bytes(raw)
+        with pytest.raises(DataFormatError, match="seal mismatch"):
+            ScoreIndex.load(path)
+
+    def test_compressed_version_1_index_is_unsupported(self, toy, tmp_path):
+        """An index written before the stored format (version 1,
+        deflated, unsealed) gets the typed version error."""
+        import json
+
+        path = self._saved(toy, tmp_path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["index_meta"][0]))
+        meta["index_format_version"] = 1
+        arrays["index_meta"] = np.asarray([json.dumps(meta)], dtype=np.str_)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(
+            DataFormatError, match="unsupported index format version 1"
+        ):
+            ScoreIndex.load(path)
 
 
 class TestLoadIntegrityValidation:
